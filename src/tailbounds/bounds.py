@@ -31,7 +31,6 @@ from .distributions import (
 )
 from .hull import eval_hull, log_concave_hull, poisson_hull_eval
 from .fracmoment import lhs_inf, rhs_bound
-from ._opt import golden_min
 
 __all__ = [
     "RANGE_CONST",
@@ -96,6 +95,10 @@ class MartingaleConditions:
                 object.__setattr__(self, name, arr)
                 if arr.shape != (self.n,):
                     raise ValueError(f"{name} must have length n={self.n}")
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"{name} must be finite")
+        if self.b is not None and not math.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b}")
         if self.variant == "one_sided_variance":
             if self.b is None or not self.b > 0.0:
                 raise ValueError("one_sided_variance needs a common bound b > 0")
@@ -199,7 +202,13 @@ def comparison_hull(cond):
     return log_concave_hull(iid_sum_survival(comparison_atom(cond), cond.n))
 
 
+def _check_x(x):
+    if not math.isfinite(x):
+        raise ValueError(f"threshold x must be finite, got {x}")
+
+
 def _bound(cond, x, constant, expected_variant, hull):
+    _check_x(x)
     if cond.variant not in expected_variant:
         raise ValueError(f"bound requires variant in {expected_variant}, got {cond.variant!r}")
     if hull is None:
@@ -219,6 +228,7 @@ def tail_bound_variance_poisson(cond, x):
     Independent of n, hence rougher: it also covers the heaviest, infinite-n
     tails.
     """
+    _check_x(x)
     if cond.variant != "one_sided_variance":
         raise ValueError(f"poisson coarsening requires one_sided_variance, got {cond.variant!r}")
     lam = float(np.sum(cond.sigma2s)) / cond.b**2
@@ -237,6 +247,7 @@ def tail_bound_range_poisson(cond, x):
     The constant e^3/2 is exactly e * (e^2/2): the range reduction composed
     with the variance bound's own Poisson step.
     """
+    _check_x(x)
     if cond.variant != "range":
         raise ValueError(f"poisson coarsening requires range, got {cond.variant!r}")
     p = cond.mean_p
@@ -260,6 +271,7 @@ def tail_bound_symmetric_gaussian(cond, x):
     has total standard deviation sqrt(n * a^2), which is the scale the normal
     tail must be evaluated at.
     """
+    _check_x(x)
     if cond.variant not in ("per_k", "symmetric"):
         raise ValueError(f"gaussian coarsening requires per_k or symmetric, got {cond.variant!r}")
     scale = math.sqrt(cond.n * cond.a2)
@@ -319,27 +331,33 @@ def hoeffding_tail_variance(n, sigma2, b, x):
 
 # --- explicit moment bounds ---------------------------------------------------
 
-_MGF_GRID_POINTS = 200
-_MGF_H_LO = 1e-6
-_MGF_H_HI = 50.0
+def _mgf_log_terms(s2, b, counts, x, h):
+    """log of exp(-h x) prod E exp(h theta_k) and its first two h-derivatives.
 
-
-def _mgf_log_objective(specs, x, h):
-    total = -h * x
-    for s2, b in specs:
-        p = s2 / (b * b + s2)
-        total += np.logaddexp(math.log1p(-p) - h * s2 / b, math.log(p) + h * b)
-    return total
+    Under the exponential tilt at h the atom theta(s2, b) puts mass pi on b;
+    the log-MGF's slope and curvature are the tilted mean and variance.
+    """
+    width = b + s2 / b
+    r = np.log(s2 / (b * b)) + h * width
+    pi = 0.5 * (1.0 + np.tanh(0.5 * r))
+    log_mgf = np.logaddexp(0.0, r) - np.log1p(s2 / (b * b)) - h * s2 / b
+    value = counts @ log_mgf - h * x
+    slope = counts @ (pi * width - s2 / b) - x
+    curvature = counts @ (pi * (1.0 - pi) * width * width)
+    return value, slope, curvature
 
 
 def mgf_bound(theta_specs, x):
     """Infimum over h > 0 of exp(-h x) * prod_k E exp(h theta_k).
 
     ``theta_specs`` lists per-step (sigma_k^2, b_k) pairs for the dominating
-    atoms theta_k. The search runs on a log-spaced h grid with golden-section
-    polish; the h -> infinity boundary (x at the top of the support) returns
-    the product of the upper-atom probabilities directly. When the specs are
-    iid with common (sigma^2, b) the result is checked against the closed form
+    atoms theta_k. The log-objective is convex in h with slope -x < 0 at
+    h = 0+, so its minimizer is bracketed by doubling h and found by
+    safeguarded Newton steps on the slope, summing over the distinct
+    (sigma^2, b) pairs weighted by their counts. The h -> infinity boundary
+    (x at the top of the support) returns the product of the upper-atom
+    probabilities directly. When the specs are iid with common (sigma^2, b)
+    the result is checked against the closed form
     H^n((sigma^2 + b x/n)/(b^2 + sigma^2); sigma^2/(b^2 + sigma^2)), which the
     infimum attains exactly.
     """
@@ -359,21 +377,35 @@ def mgf_bound(theta_specs, x):
         log_prod = sum(math.log(s2 / (b * b + s2)) for s2, b in specs)
         return math.exp(log_prod)
 
-    b_scale = max(b for _, b in specs)
-    lo, hi = _MGF_H_LO / b_scale, _MGF_H_HI / b_scale
-    while True:
-        grid = np.geomspace(lo, hi, _MGF_GRID_POINTS)
-        vals = [_mgf_log_objective(specs, x, h) for h in grid]
-        i = int(np.argmin(vals))
-        if i < _MGF_GRID_POINTS - 1 or hi > 1e12 / b_scale:
+    pairs, counts = np.unique(np.array(specs), axis=0, return_counts=True)
+    s2, b = pairs[:, 0], pairs[:, 1]
+    counts = counts.astype(np.float64)
+
+    def terms(h):
+        return _mgf_log_terms(s2, b, counts, x, h)
+
+    lo, hi = 0.0, 1.0 / float(b.max())
+    while terms(hi)[1] < 0.0:
+        lo, hi = hi, 2.0 * hi
+    h = 0.5 * (lo + hi)
+    # bisection alone narrows the bracket to rounding within about 60 halvings
+    for _ in range(100):
+        _, slope, curvature = terms(h)
+        if slope < 0.0:
+            lo = h
+        elif slope > 0.0:
+            hi = h
+        nxt = 0.5 * (lo + hi)
+        if curvature > 0.0 and lo <= h - slope / curvature <= hi:
+            nxt = h - slope / curvature
+        # done once Newton settles, or once the log-objective's excess over
+        # its minimum, which convexity bounds by |slope| (hi - lo), is below
+        # rounding
+        settled = abs(nxt - h) <= 1e-13 * h or abs(slope) * (hi - lo) <= 1e-16
+        h = nxt
+        if settled:
             break
-        lo, hi = hi / 10.0, hi * 100.0
-    _, log_min = golden_min(
-        lambda h: _mgf_log_objective(specs, x, h),
-        grid[max(i - 1, 0)],
-        grid[min(i + 1, _MGF_GRID_POINTS - 1)],
-    )
-    log_min = min(log_min, vals[i])
+    log_min = terms(h)[0]
     numeric = math.exp(log_min)
 
     bs = {b for _, b in specs}
@@ -506,10 +538,13 @@ def invert_for_confidence(n, sample_mean, delta, tol=1e-9):
 
     def bound(mu):
         cond = MartingaleConditions.range_condition(np.full(n, 1.0 - mu))
-        return tail_bound_range(cond, n * (mu - sample_mean)).value
+        # at sample_mean = 0 the threshold is the comparison sum's top knot
+        # n (1 - p); computing it from p itself keeps it on that knot
+        return tail_bound_range(cond, n * (1.0 - cond.mean_p - sample_mean)).value
 
+    # mu = 0 and mu = 1 would make the comparison atom degenerate
     hi = 1.0 - 1e-12
-    probes = np.linspace(sample_mean, hi, 7)
+    probes = np.linspace(max(sample_mean, 1e-12), hi, 7)
     vals = [bound(m) for m in probes]
     if any(b - a > 1e-9 for a, b in zip(vals, vals[1:])):
         raise RuntimeError("confidence bound is not decreasing in mu")

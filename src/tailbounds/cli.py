@@ -220,7 +220,9 @@ def _cmd_lemma42(args):
 
 
 def _cmd_verify(args):
-    results = run_suite(args.suite, seed=args.seed, n=args.n)
+    # --n is the dominance suite's depth; the other suites take no n
+    depth = {"n": args.n} if args.suite in ("all", "dominance") else {}
+    results = run_suite(args.suite, seed=args.seed, **depth)
     failures = []
     for res in results:
         extra = " ".join(f"{k}={_fmt(v)}" for k, v in res.info.items())
@@ -237,7 +239,7 @@ def _cmd_confidence(args):
     mu = invert_for_confidence(args.n, args.mean, args.delta)
     if mu < 1.0 and mu > args.mean:
         cond = MartingaleConditions.range_condition(np.full(int(args.n), 1.0 - mu))
-        achieved = tail_bound_range(cond, args.n * (mu - args.mean)).value
+        achieved = tail_bound_range(cond, args.n * (1.0 - cond.mean_p - args.mean)).value
     else:
         achieved = None
     _emit(

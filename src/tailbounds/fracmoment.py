@@ -7,7 +7,11 @@ For a step survival B and s > 0, the integral
 has an exact segment-by-segment closed form. Minimizing (x - t)^(-s) I_s(t)
 over t < x and comparing against e^s s^-s Gamma(s+1) B0(x) is the device that
 turns plain Chebyshev-type bounds into hull-dominated ones; the margin between
-the two sides is what the lemma42 verification suite sweeps.
+the two sides is what the lemma42 verification suite sweeps. The infimum is
+the optimal moment comparison of Pinelis (1998): in u = 1/(x - t) the
+objective is piecewise concave for s <= 1 and convex for s >= 1, so it is
+solved exactly from its breakpoints and, for s > 1, one root of its
+derivative.
 """
 
 import math
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hull import eval_hull
-from ._opt import golden_min
 
 __all__ = [
     "FractionalMomentQuery",
@@ -26,9 +29,6 @@ __all__ = [
     "rhs_bound",
     "moment_constant",
 ]
-
-_GRID_POINTS = 2000
-_SPAN_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -81,74 +81,87 @@ def step_integral_moment(S, s, t):
     return float(_segment_integral(S, s, np.array([float(t)]))[0])
 
 
-def _objective(S, s, x, t):
-    return float(_segment_integral(S, s, np.array([t]))[0]) / (x - t) ** s
+def lhs_inf(S, s, x):
+    """Infimum over t < x of ``(x - t)^-s * step_integral_moment(S, s, t)``."""
+    return float(lhs_inf_sweep(S, s, [x])[0])
 
 
-def lhs_inf(S, s, x, grid_points=_GRID_POINTS):
-    """Infimum over t < x of ``(x - t)^-s * step_integral_moment(S, s, t)``.
+def lhs_inf_sweep(S, s, xs):
+    """``lhs_inf`` for many thresholds at once, solved exactly.
 
-    A dense grid over ``[x - 4*span, x)`` guards against local minima (the
-    objective is continuous and piecewise smooth but not proven unimodal); a
-    golden-section polish around the best bracket sharpens the result to
-    1e-10 relative.
+    With u = 1/(x - t) the objective is R(u) = E(1 + u(X - x))_+^s over
+    u > 0, with R -> 1 as u -> 0 (t -> -inf). Its breakpoints are the knots
+    x_j < x, where R = I_s(x_j) / (x - x_j)^s is read off one shared table of
+    I_s at the knots. For s <= 1, R is concave between breakpoints, so the
+    infimum is min(1, R at the breakpoints). For s >= 1, R is convex with
+    R'(0) = s(E X - x): the infimum is exactly 1 when x <= E X. Otherwise the
+    root of R' lies in the piece where the sign of R' at the breakpoints,
+    that of I_s(x_j) - (x - x_j) I_{s-1}(x_j), turns, and a safeguarded
+    Newton iteration finds it. R' is linear in u when s = 2, so there the
+    first step lands on the closed form u = -sum p a / sum p a^2 over the
+    atoms p at offsets a = x_i - x that are active in the piece.
     """
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s}")
-    span = float(S.knots[-1] - S.knots[0])
-    if span <= 0.0:
-        span = max(1.0, abs(float(S.knots[0])))
-    lo = x - _SPAN_FACTOR * span
-    hi = x - 1e-12 * max(1.0, abs(x))
-    ts = np.linspace(lo, hi, grid_points)
-    vals = _segment_integral(S, s, ts) / (x - ts) ** s
-    i = int(np.argmin(vals))
-    bl = ts[max(i - 1, 0)]
-    bh = ts[min(i + 1, grid_points - 1)]
-    t_best, f_best = golden_min(lambda t: _objective(S, s, x, t), bl, bh, rel_tol=1e-12)
-    return min(f_best, float(vals[i]))
-
-
-def lhs_inf_sweep(S, s, xs, grid_points=_GRID_POINTS, refine_rounds=5, refine_points=129):
-    """``lhs_inf`` for many thresholds at once, sharing one integral table.
-
-    The t-grid spans the union of the per-x search windows; per threshold the
-    infimum over the in-window grid values is polished by a few rounds of
-    shrinking local grids. Agrees with ``lhs_inf`` to well below its 1e-10
-    contract.
-    """
     xs = np.asarray(xs, dtype=np.float64)
-    span = float(S.knots[-1] - S.knots[0])
-    if span <= 0.0:
-        span = max(1.0, abs(float(S.knots[0])))
-    lo = float(xs.min()) - _SPAN_FACTOR * span
-    hi = float(xs.max())
-    n_global = max(grid_points, int(grid_points * (hi - lo) / (_SPAN_FACTOR * span)))
-    ts = np.linspace(lo, hi, n_global)
-    table = _segment_integral(S, s, ts)
-    out = np.empty(xs.shape)
-    for j, x in enumerate(xs):
-        edge = x - _SPAN_FACTOR * span
-        win = (ts > edge) & (ts < x)
-        # pin the exact window edge: when the infimum is a t -> -inf limit the
-        # minimizer sits there, matching the standalone grid's first point
-        tw = np.concatenate([[edge], ts[win]])
-        vals = np.concatenate(
-            [_segment_integral(S, s, tw[:1]) / (x - edge) ** s, table[win] / (x - ts[win]) ** s]
-        )
-        i = int(np.argmin(vals))
-        best = float(vals[i])
-        a = tw[max(i - 1, 0)]
-        b = min(tw[min(i + 1, tw.size - 1)], x - 1e-12 * max(1.0, abs(x)))
-        for _ in range(refine_rounds):
-            tl = np.linspace(a, b, refine_points)
-            vl = _segment_integral(S, s, tl) / (x - tl) ** s
-            k = int(np.argmin(vl))
-            best = min(best, float(vl[k]))
-            a = tl[max(k - 1, 0)]
-            b = tl[min(k + 1, refine_points - 1)]
-        out[j] = best
+    knots, masses = S.knots, S.atom_masses
+    gap = xs[:, None] - knots[None, :]
+    below = gap > 0.0
+    table = _segment_integral(S, s, knots)
+    at_knots = np.full(gap.shape, np.inf)
+    at_knots[below] = np.broadcast_to(table, gap.shape)[below] / gap[below] ** s
+    out = np.minimum(1.0, at_knots.min(axis=1))
+    if s < 1.0:
+        return out
+    falling = xs > masses @ knots
+    out[~falling] = 1.0
+    # from the top knot on R only falls, down to its value at the last
+    # breakpoint, which is already in out
+    solve = falling & (xs < knots[-1])
+    if s > 1.0 and np.any(solve):
+        out[solve] = np.minimum(out[solve], _convex_min(S, s, gap[solve], table))
     return out
+
+
+def _convex_min(S, s, gap, table):
+    """min_u R(u) for s > 1 and E X < x < top knot, one row per threshold.
+
+    ``gap`` holds x - x_j for each threshold x and knot x_j, ``table`` holds
+    I_s at the knots.
+    """
+    masses = S.atom_masses
+    below = gap > 0.0
+    # sign of R' at each breakpoint; it rises with u, and it is >= 0 at the
+    # last breakpoint, where only atoms at or above x remain
+    slope = table - gap * _segment_integral(S, s - 1.0, S.knots)
+    c = np.minimum((below & (slope < 0.0)).sum(axis=1), below.sum(axis=1) - 1)
+    rows = np.arange(gap.shape[0])
+    lo = np.where(c > 0, 1.0 / gap[rows, np.maximum(c - 1, 0)], 0.0)
+    hi = 1.0 / gap[rows, c]
+    a = -gap
+    u = 0.5 * (lo + hi)
+    best = np.ones(gap.shape[0])
+    # bisection alone narrows a bracket to rounding within about 60 halvings
+    for _ in range(100):
+        w = np.clip(1.0 + u[:, None] * a, 0.0, None)
+        live = w > 0.0
+        value = (masses * w**s).sum(axis=1)
+        best = np.minimum(best, value)
+        d1 = (masses * a * w ** (s - 1.0)).sum(axis=1)
+        d2 = (s - 1.0) * (masses * a * a * live * np.where(live, w, 1.0) ** (s - 2.0)).sum(axis=1)
+        lo = np.where(d1 < 0.0, u, lo)
+        hi = np.where(d1 > 0.0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = u - d1 / d2
+        nxt = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        # done once Newton settles, or once R(u) - min R, which convexity
+        # bounds by |R'(u)| (hi - lo), is below rounding; the second covers
+        # roots so near u = 0 that rounding in R' hides them
+        settled = np.abs(nxt - u) <= 1e-13 * u
+        if np.all(settled | (s * np.abs(d1) * (hi - lo) <= 1e-16 * value)):
+            break
+        u = nxt
+    return best
 
 
 def moment_constant(s):

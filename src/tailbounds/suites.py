@@ -5,6 +5,7 @@ ran, and collects full-parameter counterexample rows for anything that failed.
 The acceptance tests run the same functions at the same scale.
 """
 
+import inspect
 import math
 import time
 
@@ -513,22 +514,27 @@ _SUITES = {
 }
 
 
+def _keywords(fn):
+    return set(inspect.signature(fn).parameters) - {"seed"}
+
+
 def run_suite(name, seed=0, **kwargs):
-    """Run one named suite (or ``all``); returns a list of SuiteResult."""
-    if name == "all":
-        results = []
-        for key in _SUITES:
-            results.extend(run_suite(key, seed=seed, **kwargs))
-        return results
-    if name not in _SUITES:
+    """Run one named suite (or ``all``); returns a list of SuiteResult.
+
+    Keywords are passed to the suite, which must take them; under ``all``
+    each suite gets the keywords its own signature takes. A keyword no
+    selected suite takes raises ValueError.
+    """
+    suites = _SUITES if name == "all" else {name: _SUITES.get(name)}
+    if None in suites.values():
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    fn = _SUITES[name]
-    if name == "dominance":
-        n = kwargs.get("n", 2)
+    unknown = set(kwargs).difference(*(_keywords(fn) for fn in suites.values()))
+    if unknown:
+        raise ValueError(f"suite {name!r} takes no keyword {', '.join(sorted(unknown))}")
+    results = []
+    for fn in suites.values():
         start = time.perf_counter()
-        result = fn(seed=seed, n=n)
-    else:
-        start = time.perf_counter()
-        result = fn(seed=seed)
-    result.info["elapsed_s"] = time.perf_counter() - start
-    return [result]
+        result = fn(seed=seed, **{k: v for k, v in kwargs.items() if k in _keywords(fn)})
+        result.info["elapsed_s"] = time.perf_counter() - start
+        results.append(result)
+    return results

@@ -258,23 +258,6 @@ def _tree_tail_from_params(cond, params, x):
     return tail(build(1, 0), 0.0)
 
 
-def _params_to_tree(cond, params):
-    n = cond.n
-
-    def build(level, index):
-        k = level - 1
-        i = (2**k - 1) + index
-        if cond.variant == "range":
-            vals, probs = _range_node(cond.ps[k], params[2 * i], params[2 * i + 1])
-        else:
-            vals, probs = _variance_node(cond.sigma2s[k], cond.b, params[2 * i], params[2 * i + 1])
-        if level == n:
-            return TreeNode(vals, probs)
-        return TreeNode(vals, probs, children=(build(level + 1, 2 * index), build(level + 1, 2 * index + 1)))
-
-    return MartingaleTree(root=build(1, 0), depth=n, condition=cond)
-
-
 def worst_case_search(cond, x, budget=6000, seed=0, restarts=6):
     """Maximize the exact tail over two-point-conditional trees of depth n <= 3.
 
@@ -365,48 +348,62 @@ def _c1_ratio(sigma2, x):
     return sigma2 / (x * x + sigma2) * np.exp(neg_log_hull)
 
 
-def c1_search(sigma2_lo=1e-4, sigma2_hi=1e4, grid_shape=(400, 400), refine_rounds=60):
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo, hi):
+    """Golden-section minimum ``(x, f(x))`` of a unimodal ``f`` on [lo, hi].
+
+    The bracket shrinks until its width drops below 1e-12 max(1, |lo|, |hi|).
+    """
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def _c1_best_x(sigma2):
+    """Maximizer over x in (0, 1] of the ratio at fixed sigma2.
+
+    The ratio's log has slope -2x/(x^2 + sigma2) + L/(1 + sigma2) with
+    L = log((1 + sigma2)/sigma2); the slope first vanishes at the smaller root
+    of L x^2 - 2(1 + sigma2) x + L sigma2 = 0, written here in the
+    cancellation-free form L sigma2 / ((1 + sigma2) + sqrt(disc)). Without a
+    real root the ratio rises all the way to x = 1.
+    """
+    L = math.log((1.0 + sigma2) / sigma2)
+    disc = (1.0 + sigma2) ** 2 - L * L * sigma2
+    if disc < 0.0:
+        return 1.0
+    return min(1.0, L * sigma2 / ((1.0 + sigma2) + math.sqrt(disc)))
+
+
+def c1_search():
     """Supremum of the n = 1 ratio: extremal tail over bound-hull value.
 
-    The ratio sigma^2/(x^2 + sigma^2) / B0(x) is scanned over a log grid in
-    sigma^2 and x in (0, 1], then polished by alternating golden-section
-    ascent. The ratio tends to 1 at both sigma^2 extremes, so the supremum is
-    interior and the domain truncation is safe.
+    For each sigma^2 the best x in (0, 1] solves a quadratic, which leaves a
+    unimodal profile in log sigma^2, maximized by golden section over
+    [log 1e-4, log 1e4]. The ratio tends to 1 at both sigma^2 extremes, so
+    the supremum is interior and the domain truncation is safe.
     """
-    ls = np.linspace(math.log(sigma2_lo), math.log(sigma2_hi), grid_shape[0])
-    xs = np.linspace(1e-6, 1.0, grid_shape[1])
-    ratios = _c1_ratio(np.exp(ls)[:, None], xs[None, :])
-    i, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-    s2 = math.exp(ls[i])
-    x = xs[j]
-    best = float(ratios[i, j])
 
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    def neg_profile(log_s2):
+        s2 = math.exp(log_s2)
+        return -float(_c1_ratio(s2, _c1_best_x(s2)))
 
-    def line_max(f, lo, hi):
-        a, b = lo, hi
-        for _ in range(refine_rounds):
-            c = b - phi * (b - a)
-            d = a + phi * (b - a)
-            if f(c) > f(d):
-                b = d
-            else:
-                a = c
-        m = 0.5 * (a + b)
-        return m, f(m)
-
-    ds = ls[1] - ls[0]
-    dx = xs[1] - xs[0]
-    for _ in range(8):
-        l0 = math.log(s2)
-        l_new, _ = line_max(lambda t: _c1_ratio(math.exp(t), x), l0 - ds, l0 + ds)
-        s2 = math.exp(l_new)
-        x_new, val = line_max(
-            lambda t: _c1_ratio(s2, t), max(x - dx, 1e-9), min(x + dx, 1.0)
-        )
-        x = x_new
-        best = max(best, val)
-    return best
+    _, value = _golden_min(neg_profile, math.log(1e-4), math.log(1e4))
+    return -value
 
 
 # --- majorization and convex domination ----------------------------------------

@@ -281,6 +281,24 @@ class TestMgfBound:
         assert mgf_bound(specs, x) == pytest.approx(oracle, rel=1e-7)
         assert mgf_bound(specs, x) <= oracle + 1e-12
 
+    def test_random_non_iid_specs_dense_oracle(self):
+        rng = np.random.default_rng(97)
+        hs = np.geomspace(1e-8, 1e4, 400_000)
+        for _ in range(20):
+            specs = [
+                (float(rng.uniform(0.05, 3.0)), float(rng.choice([0.5, 1.0, 2.0])))
+                for _ in range(int(rng.integers(2, 6)))
+            ]
+            top = sum(b for _, b in specs)
+            x = float(rng.uniform(1e-3, top * (1.0 - 1e-6)))
+            logs = -hs * x
+            for s2, b in specs:
+                p = s2 / (b * b + s2)
+                logs = logs + np.logaddexp(math.log1p(-p) - hs * s2 / b, math.log(p) + hs * b)
+            oracle = float(np.exp(logs.min()))
+            assert mgf_bound(specs, x) <= oracle + 1e-12
+            assert mgf_bound(specs, x) == pytest.approx(oracle, rel=1e-7)
+
     def test_per_step_atoms_below_iid_closed_form(self):
         specs = [(0.2, 1.0), (0.8, 1.0)]
         closed = hoeffding_tail_variance(2, 0.5, 1.0, 0.9)
@@ -431,8 +449,48 @@ class TestConfidenceInversion:
         mus_n = [invert_for_confidence(n, 0.3, 0.05) for n in (10, 50, 200)]
         assert all(a > b for a, b in zip(mus_n, mus_n[1:]))
 
+    def test_zero_mean_at_least_clopper_pearson(self):
+        # with no successes the exact upper limit is 1 - delta^(1/n)
+        for n in (1, 10, 100, 1000):
+            for delta in (0.01, 0.05, 0.5):
+                mu = invert_for_confidence(n, 0.0, delta)
+                assert 1.0 - delta ** (1.0 / n) <= mu < 1.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             invert_for_confidence(10, 1.2, 0.05)
         with pytest.raises(ValueError):
             invert_for_confidence(10, 0.5, 1.5)
+
+
+class TestNonFiniteInput:
+    def test_range_condition_nan_p(self):
+        with pytest.raises(ValueError):
+            MartingaleConditions.range_condition([0.3, math.nan])
+
+    def test_per_k_nan_b(self):
+        with pytest.raises(ValueError):
+            MartingaleConditions.per_k([1.0, math.nan], [0.2, 0.2])
+
+    def test_range_bound_nan_threshold(self):
+        cond = MartingaleConditions.range_condition(np.full(5, 0.3))
+        with pytest.raises(ValueError):
+            tail_bound_range(cond, math.nan)
+
+    def test_other_parameters_and_thresholds(self):
+        with pytest.raises(ValueError):
+            MartingaleConditions.one_sided_variance(math.inf, [0.2, 0.2])
+        with pytest.raises(ValueError):
+            MartingaleConditions.one_sided_variance(1.0, [0.2, math.inf])
+        with pytest.raises(ValueError):
+            MartingaleConditions.symmetric([0.5, math.nan])
+        cond = MartingaleConditions.one_sided_variance(1.0, [0.2, 0.2])
+        for bound in (tail_bound_variance, tail_bound_variance_poisson):
+            with pytest.raises(ValueError):
+                bound(cond, math.inf)
+        with pytest.raises(ValueError):
+            tail_bound_range_poisson(MartingaleConditions.range_condition([0.3, 0.3]), -math.inf)
+        sym = MartingaleConditions.symmetric([0.5, 0.5])
+        for bound in (tail_bound_symmetric, tail_bound_symmetric_gaussian):
+            with pytest.raises(ValueError):
+                bound(sym, math.nan)

@@ -96,6 +96,13 @@ class TestBoundCommand:
         (row,) = parse_csv(out)
         assert float(row["raw"]) == 1.0
 
+    def test_non_finite_threshold_exit_2(self, capsys):
+        code, _, err = run_cli(
+            ["bound", "--theorem", "1.2", "--n", "2", "--p", "0.5", "--x", "nan"], capsys
+        )
+        assert code == 2
+        assert "finite" in err
+
     def test_missing_parameters_exit_2(self, capsys):
         code, _, err = run_cli(["bound", "--theorem", "1.1", "--n", "2", "--x", "1"], capsys)
         assert code == 2
@@ -149,6 +156,11 @@ class TestVerifyCommand:
         assert "suite=lemma48" in out
         assert "failures=0" in out
 
+    def test_depth_ignored_by_suites_without_it(self, capsys):
+        code, out, _ = run_cli(["verify", "--suite", "lemma48", "--n", "3"], capsys)
+        assert code == 0
+        assert "failures=0" in out
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -172,6 +184,16 @@ class TestConfidenceCommand:
         )
         (row,) = parse_csv(out)
         assert float(row["upper_limit"]) == 1.0
+
+    def test_zero_mean(self, capsys):
+        code, out, _ = run_cli(
+            ["confidence", "--n", "100", "--mean", "0", "--delta", "0.05"], capsys
+        )
+        assert code == 0
+        (row,) = parse_csv(out)
+        mu = float(row["upper_limit"])
+        assert 1.0 - 0.05 ** (1.0 / 100) <= mu < 1.0
+        assert float(row["bound_at_limit"]) == pytest.approx(0.05, abs=1e-6)
 
     def test_bad_mean_exit_2(self, capsys):
         code, _, err = run_cli(

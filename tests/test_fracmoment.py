@@ -120,11 +120,12 @@ class TestInfimum:
             S = random_survival(rng)
             s = float(rng.choice([1.0, 2.0, 2.5, 3.0]))
             x = float(rng.uniform(S.knots[1], S.knots[-1]))
-            span = float(S.knots[-1] - S.knots[0])
-            ts = np.linspace(x - 4 * span, x - 1e-9, 120_000)
-            masses = S.atom_masses
-            vals = (np.clip(S.knots[None, :] - ts[:, None], 0, None) ** s @ masses) / (x - ts) ** s
-            oracle = float(vals.min())
+            # in u = 1/(x - t) the minimizer lies in (0, u_last], u_last the
+            # last breakpoint; u -> 0 is the t -> -inf limit 1
+            u_last = 1.0 / (x - float(S.knots[S.knots < x].max()))
+            us = u_last * np.concatenate([np.geomspace(1e-9, 1.0, 60_000), np.linspace(0, 1, 60_000)[1:]])
+            vals = np.clip(1.0 + us[:, None] * (S.knots - x)[None, :], 0, None) ** s @ S.atom_masses
+            oracle = min(1.0, float(vals.min()))
             assert lhs_inf(S, s, x) <= oracle + 1e-12
             assert lhs_inf(S, s, x) == pytest.approx(oracle, rel=1e-6)
 
@@ -149,6 +150,44 @@ class TestInfimum:
     def test_beyond_support_vanishes(self):
         S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 2)
         assert lhs_inf(S, 2.0, 2.5) == pytest.approx(0.0, abs=1e-15)
+
+    def test_at_or_below_mean_is_exactly_one(self):
+        # for s >= 1 the objective is convex in u = 1/(x - t) with slope
+        # s (E X - x) >= 0 at u = 0, so the infimum is the t -> -inf limit
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            S = random_survival(rng)
+            mean = float(S.atom_masses @ S.knots)
+            xs = np.linspace(float(S.knots[0]) - 1.0, mean, 9)
+            for s in (1.0, 2.0, 3.0):
+                assert lhs_inf_sweep(S, s, xs).tolist() == [1.0] * xs.size
+
+    def test_far_minimizer_matches_s2_closed_form(self):
+        # just above the mean every atom is active at the minimizer, where
+        # u* = -sum p a / sum p a^2 over the offsets a = X - x, and the
+        # minimizer t* = x - 1/u* lies far beyond x - 4 * span
+        S = iid_sum_survival(two_point_from_variance(0.21, 0.7), 6)
+        x = 0.02
+        a = S.knots - x
+        p = S.atom_masses
+        u_star = -float(p @ a) / float(p @ a**2)
+        span = float(S.knots[-1] - S.knots[0])
+        assert 1.0 / u_star > 4.0 * span
+        expected = 1.0 - float(p @ a) ** 2 / float(p @ a**2)
+        assert lhs_inf(S, 2.0, x) == pytest.approx(expected, rel=1e-12)
+
+    def test_order_below_one_is_min_over_knots(self):
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            S = random_survival(rng)
+            x = float(rng.uniform(S.knots[0] - 0.5, S.knots[-1] + 0.5))
+            below = S.knots[S.knots < x]
+            at_knots = [step_integral_moment(S, 0.5, float(t)) / (x - t) ** 0.5 for t in below]
+            expected = min([1.0] + at_knots)
+            assert lhs_inf(S, 0.5, x) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            ts = x - np.geomspace(1e-6, 1e3, 20_000)
+            grid = (np.clip(S.knots[None, :] - ts[:, None], 0, None) ** 0.5 @ S.atom_masses) / (x - ts) ** 0.5
+            assert lhs_inf(S, 0.5, x) <= min(1.0, float(grid.min())) + 1e-12
 
 
 class TestHullSide:

@@ -17,6 +17,7 @@ from tailbounds.bounds import (
     MartingaleConditions,
     hoeffding_H,
 )
+from tailbounds.suites import run_suite
 from tailbounds.verify import (
     TreeNode,
     c1_search,
@@ -113,6 +114,9 @@ class TestC1Search:
         assert abs(estimate - 1.555884) < 2e-3
         assert 1.55 <= estimate <= 1.56
         assert estimate < VARIANCE_CONST
+
+    def test_matches_profile_maximum(self):
+        assert c1_search() == pytest.approx(1.55588367083, abs=1e-9)
 
     def test_unit_ratio_point(self):
         # at sigma2 = 1, x = 1 both sides hit the atom: ratio exactly 1
@@ -312,3 +316,16 @@ class TestCeilSafe:
         assert ceil_safe(2.0) == 2
         assert ceil_safe(2.0000000001) == 2  # within the slack
         assert ceil_safe(2.1) == 3
+
+
+class TestRunSuite:
+    def test_rejects_unknown_keyword(self):
+        with pytest.raises(ValueError):
+            run_suite("lemma48", bogus=1)
+        with pytest.raises(ValueError):
+            run_suite("all", bogus=1)
+
+    def test_passes_keywords_through(self):
+        (res,) = run_suite("lemma43", instances=5)
+        assert res.checks == 5
+        assert not res.failures
