@@ -22,6 +22,7 @@ from .distributions import (
 )
 from .hull import (
     LogLinearHull,
+    binomial_hull_log_eval,
     eval_hull,
     is_log_concave_discrete,
     linear_envelope_eval,

@@ -29,7 +29,7 @@ from .distributions import (
     iid_sum_survival,
     two_point_from_variance,
 )
-from .hull import eval_hull, log_concave_hull, poisson_hull_eval
+from .hull import binomial_hull_log_eval, eval_hull, log_concave_hull, poisson_hull_eval
 from .fracmoment import lhs_inf, rhs_bound
 
 __all__ = [
@@ -182,15 +182,19 @@ class BoundResult:
         return min(1.0, self.value)
 
 
+def _range_atom(p):
+    """Range-condition comparison atom eps(p - p^2, 1 - p) at mean p."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"mean p must lie strictly inside (0,1), got {p}")
+    return two_point_from_variance(p - p * p, 1.0 - p)
+
+
 def comparison_atom(cond):
     """The dominating iid two-point atom for a conditions object."""
     if cond.variant == "one_sided_variance":
         return two_point_from_variance(cond.mean_sigma2, cond.b)
     if cond.variant == "range":
-        p = cond.mean_p
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"mean p must lie strictly inside (0,1), got {p}")
-        return two_point_from_variance(p - p * p, 1.0 - p)
+        return _range_atom(cond.mean_p)
     if cond.variant in ("per_k", "symmetric"):
         a = math.sqrt(cond.a2)
         return two_point_from_variance(a * a, a)
@@ -198,8 +202,18 @@ def comparison_atom(cond):
 
 
 def comparison_hull(cond):
-    """Log-concave hull of the comparison sum's survival function."""
+    """Log-concave hull of the comparison sum's survival function, materialized."""
     return log_concave_hull(iid_sum_survival(comparison_atom(cond), cond.n))
+
+
+def _lazy_hull_value(atom, n, x):
+    """B0(x) for the sum of n iid copies of ``atom``, without building the sum.
+
+    Knot k of the sum sits at n v_lo + k (v_hi - v_lo) and carries the
+    binomial tail P{Bin(n, p_hi) >= k}.
+    """
+    y = (x - n * atom.v_lo) / (atom.v_hi - atom.v_lo)
+    return math.exp(binomial_hull_log_eval(n, atom.p_hi, y))
 
 
 def _check_x(x):
@@ -212,13 +226,20 @@ def _bound(cond, x, constant, expected_variant, hull):
     if cond.variant not in expected_variant:
         raise ValueError(f"bound requires variant in {expected_variant}, got {cond.variant!r}")
     if hull is None:
-        hull = comparison_hull(cond)
-    hv = eval_hull(hull, x)
+        hv = _lazy_hull_value(comparison_atom(cond), cond.n, x)
+    else:
+        hv = eval_hull(hull, x)
     return BoundResult(value=constant * hv, constant=constant, hull_value=hv)
 
 
 def tail_bound_variance(cond, x, hull=None):
-    """Variance-condition bound: (e^2/2) * B0(x), atoms eps(mean sigma^2, b)."""
+    """Variance-condition bound: (e^2/2) * B0(x), atoms eps(mean sigma^2, b).
+
+    Without ``hull`` B0(x) is evaluated lazily from two binomial tails; pass
+    ``comparison_hull(cond)`` to read it off the materialized hull instead,
+    which pays off over many thresholds. The same holds for the range and
+    symmetric bounds.
+    """
     return _bound(cond, x, VARIANCE_CONST, ("one_sided_variance",), hull)
 
 
@@ -237,7 +258,11 @@ def tail_bound_variance_poisson(cond, x):
 
 
 def tail_bound_range(cond, x, hull=None):
-    """Range-condition bound: e * B0(x), atoms eps(p - p^2, 1 - p) at mean p."""
+    """Range-condition bound: e * B0(x), atoms eps(p - p^2, 1 - p) at mean p.
+
+    ``hull``: lazy when omitted, materialized when passed (see
+    ``tail_bound_variance``).
+    """
     return _bound(cond, x, RANGE_CONST, ("range",), hull)
 
 
@@ -259,7 +284,11 @@ def tail_bound_range_poisson(cond, x):
 
 
 def tail_bound_symmetric(cond, x, hull=None):
-    """Symmetric-cap bound: (2e^3/9) * B0(x), symmetric atoms +-a, a^2 = mean a_k^2."""
+    """Symmetric-cap bound: (2e^3/9) * B0(x), symmetric atoms +-a, a^2 = mean a_k^2.
+
+    ``hull``: lazy when omitted, materialized when passed (see
+    ``tail_bound_variance``).
+    """
     return _bound(cond, x, SYMMETRIC_CONST, ("per_k", "symmetric"), hull)
 
 
@@ -513,6 +542,18 @@ def gaussian_tail_upper(x):
 # --- conservative confidence limit --------------------------------------------
 
 
+def _confidence_bound(n, mu, sample_mean):
+    """Range bound for n differences in [-(1 - mu), mu] at x = n (mu - sample_mean).
+
+    The comparison atom is built at p = 1 - mu directly, and the hull read
+    lazily, so a probe costs O(1) in n.
+    """
+    p = 1.0 - mu
+    # at sample_mean = 0 the threshold is the comparison sum's top knot
+    # n (1 - p); computing it from p itself keeps it on that knot
+    return RANGE_CONST * _lazy_hull_value(_range_atom(p), n, n * (1.0 - p - sample_mean))
+
+
 def invert_for_confidence(n, sample_mean, delta, tol=1e-9):
     """Conservative level-(1 - delta) upper confidence limit for a bounded mean.
 
@@ -521,7 +562,8 @@ def invert_for_confidence(n, sample_mean, delta, tol=1e-9):
     mean-mu sample looks this small" still reaches delta: the bound is
     evaluated for the reflected differences (each in [-(1 - mu), mu], i.e.
     p_k = 1 - mu) at the threshold x = n (mu - sample_mean), and mu is found
-    by bisection. Returns 1 if even mu -> 1 keeps the bound above delta.
+    by bisection. Each probe reads the comparison hull lazily, in O(1) in n.
+    Returns 1 if even mu -> 1 keeps the bound above delta.
 
     The bound decreases in mu; that monotonicity is spot-checked on every
     call.
@@ -537,10 +579,7 @@ def invert_for_confidence(n, sample_mean, delta, tol=1e-9):
         return 1.0
 
     def bound(mu):
-        cond = MartingaleConditions.range_condition(np.full(n, 1.0 - mu))
-        # at sample_mean = 0 the threshold is the comparison sum's top knot
-        # n (1 - p); computing it from p itself keeps it on that knot
-        return tail_bound_range(cond, n * (1.0 - cond.mean_p - sample_mean)).value
+        return _confidence_bound(n, mu, sample_mean)
 
     # mu = 0 and mu = 1 would make the comparison atom degenerate
     hi = 1.0 - 1e-12

@@ -18,6 +18,7 @@ from .hull import linear_envelope_eval, log_concave_hull
 from .fracmoment import lhs_inf_sweep, rhs_bound
 from .bounds import (
     MartingaleConditions,
+    _confidence_bound,
     comparison_atom,
     hoeffding_tail_range,
     hoeffding_tail_variance,
@@ -238,8 +239,8 @@ def _cmd_verify(args):
 def _cmd_confidence(args):
     mu = invert_for_confidence(args.n, args.mean, args.delta)
     if mu < 1.0 and mu > args.mean:
-        cond = MartingaleConditions.range_condition(np.full(int(args.n), 1.0 - mu))
-        achieved = tail_bound_range(cond, args.n * (1.0 - cond.mean_p - args.mean)).value
+        # the bound the inversion compared with delta at the limit
+        achieved = _confidence_bound(args.n, mu, args.mean)
     else:
         achieved = None
     _emit(

@@ -4,7 +4,8 @@ The hull of a step survival B is the minimal function B0 >= B whose negative
 logarithm is convex. On the knots this is the lower convex hull of the points
 (x_i, -log B(x_i)), which a single monotone-chain sweep produces in O(m);
 between knots it is the log-linear interpolation, 1 left of the first knot and
-0 strictly right of the last.
+0 strictly right of the last. Poisson and binomial survivals are log-concave,
+so their hulls need no sweep and are evaluated lazily, one query at a time.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import poisson_log_survival
+from .distributions import MERGE_REL_TOL, binomial_log_survival, poisson_log_survival
 
 __all__ = [
     "LogLinearHull",
@@ -23,6 +24,7 @@ __all__ = [
     "is_log_concave_discrete",
     "poisson_hull_eval",
     "poisson_hull_log_eval",
+    "binomial_hull_log_eval",
 ]
 
 # Absolute slack on -log values for convexity comparisons; collinear knots are
@@ -135,6 +137,17 @@ def is_log_concave_discrete(S, slack=1e-12):
     return bool(np.all((-S.log_values) - hull_y <= slack))
 
 
+def _interpolate_integer_log_survival(log_survival, y):
+    """Log-linear interpolation of a log survival on the integers >= 0 at y; 0 for y <= 0."""
+    if y <= 0.0:
+        return 0.0
+    k0 = math.floor(y)
+    if y == k0:
+        return log_survival(k0)
+    t = y - k0
+    return (1.0 - t) * log_survival(k0) + t * log_survival(k0 + 1)
+
+
 def poisson_hull_log_eval(lam, y):
     """log of the Poisson(lam) hull survival at a real point ``y``.
 
@@ -142,17 +155,25 @@ def poisson_hull_log_eval(lam, y):
     log-linear interpolation between consecutive integers; it never vanishes
     (infinite support). Returns 0 for y <= 0.
     """
-    if y <= 0.0:
-        return 0.0
-    k0 = math.floor(y)
-    if y == k0:
-        return poisson_log_survival(lam, int(k0))
-    t = y - k0
-    lo = poisson_log_survival(lam, int(k0))
-    hi = poisson_log_survival(lam, int(k0) + 1)
-    return (1.0 - t) * lo + t * hi
+    return _interpolate_integer_log_survival(lambda k: poisson_log_survival(lam, k), y)
 
 
 def poisson_hull_eval(lam, y):
     """Poisson(lam) hull survival at ``y``; evaluated lazily per query."""
     return math.exp(poisson_hull_log_eval(lam, y))
+
+
+def binomial_hull_log_eval(n, p, y):
+    """log of the Bin(n, p) hull survival at a real knot coordinate ``y``.
+
+    The discrete binomial survival is log-concave, so the hull is the
+    log-linear interpolation between consecutive integers, evaluated lazily
+    in O(1) per query. Returns 0 for y <= 0 and -inf strictly above n. A ``y``
+    within MERGE_REL_TOL * max(1, n) above n is a rounded top knot and reads
+    as n, which errs on the conservative side.
+    """
+    if y > n:
+        if y - n > MERGE_REL_TOL * max(1, n):
+            return -math.inf
+        y = float(n)
+    return _interpolate_integer_log_survival(lambda k: binomial_log_survival(n, p, k), y)

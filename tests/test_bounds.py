@@ -28,6 +28,7 @@ from tailbounds.bounds import (
     VARIANCE_CONST,
     MartingaleConditions,
     comparison_atom,
+    comparison_hull,
     exact_n1_range,
     exact_n1_variance,
     fractional_moment_bound,
@@ -234,6 +235,26 @@ class TestDominanceBounds:
         S = iid_sum_survival(comparison_atom(cond), 25)
         for x in (0.0, 2.0, 5.0, 10.0):
             assert tail_bound_symmetric_gaussian(cond, x).value >= S.eval(x) - 1e-12
+
+    def test_range_bound_at_the_top_knot(self):
+        # x = n (1 - p) is the comparison sum's top knot, whose tail is p^n
+        for mu in (1e-12, 1e-6, 0.5, 2.0 / 3.0):
+            cond = MartingaleConditions.range_condition(np.full(100, 1.0 - mu))
+            res = tail_bound_range(cond, 100 * mu)
+            assert res.value == pytest.approx(math.e * (1.0 - mu) ** 100, rel=1e-12)
+
+    def test_lazy_default_matches_materialized_hull(self):
+        conds = (
+            (tail_bound_variance, MartingaleConditions.one_sided_variance(2.0, np.full(60, 0.3))),
+            (tail_bound_range, MartingaleConditions.range_condition(np.linspace(0.1, 0.5, 60))),
+            (tail_bound_symmetric, MartingaleConditions.per_k(np.full(60, 0.5), np.full(60, 0.7))),
+        )
+        for bound, cond in conds:
+            hull = comparison_hull(cond)
+            for x in np.linspace(-3.0, 40.0, 87):
+                lazy = bound(cond, float(x))
+                materialized = bound(cond, float(x), hull=hull)
+                assert lazy.hull_value == pytest.approx(materialized.hull_value, rel=1e-12)
 
     def test_result_decomposition(self):
         cond = MartingaleConditions.range_condition([0.3, 0.4, 0.5])

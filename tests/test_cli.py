@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from tailbounds.bounds import MartingaleConditions, tail_bound_range
+from scipy import stats
+
+from tailbounds.bounds import MartingaleConditions, comparison_hull, tail_bound_range
 from tailbounds.cli import main
 
 
@@ -60,7 +62,9 @@ class TestBoundCommand:
         )
         (row,) = parse_csv(out)
         cond = MartingaleConditions.range_condition(np.full(3, 0.4))
-        assert float(row["raw"]) == tail_bound_range(cond, 0.7).value
+        # the table reads one materialized hull; the library default is lazy
+        assert float(row["raw"]) == tail_bound_range(cond, 0.7, hull=comparison_hull(cond)).value
+        assert float(row["raw"]) == pytest.approx(tail_bound_range(cond, 0.7).value, rel=1e-12)
 
     def test_x_range_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -200,6 +204,20 @@ class TestConfidenceCommand:
             ["confidence", "--n", "10", "--mean", "1.4", "--delta", "0.05"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "n, mean, delta",
+        [(920, 0.3, 1e-6), (3000, 0.3, 1e-6), (10**4, 0.3, 1e-6), (10**6, 0.3, 1e-6), (3000, 0.5, 0.05)],
+    )
+    def test_large_n_at_least_clopper_pearson(self, n, mean, delta, capsys):
+        code, out, _ = run_cli(
+            ["confidence", "--n", str(n), "--mean", str(mean), "--delta", str(delta)], capsys
+        )
+        assert code == 0
+        (row,) = parse_csv(out)
+        k = round(n * mean)
+        assert float(row["upper_limit"]) >= stats.beta.ppf(1.0 - delta, k + 1, n - k)
+        assert float(row["bound_at_limit"]) >= delta
 
 
 class TestOutputFile:

@@ -13,6 +13,8 @@ from scipy import stats
 from tailbounds.distributions import (
     DiscreteDist,
     StepSurvival,
+    _beta_cf,
+    _stirlerr,
     binomial_log_survival,
     convolve,
     gaussian_survival,
@@ -279,6 +281,36 @@ class TestBinomialLogSurvival:
             k = int(rng.integers(0, n + 1))
             expected = float(stats.binom.logsf(k - 1, n, p))
             assert binomial_log_survival(n, p, k) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [920, 3000, 10**4, 10**6])
+    @pytest.mark.parametrize("p", [1e-3, 0.5, 0.999])
+    def test_against_scipy_large_n(self, n, p):
+        # both sides of the mean; scipy's log-sf underflows much further out
+        sd = math.sqrt(n * p * (1.0 - p))
+        for z in (-8.0, -3.0, -0.5, 0.5, 3.0, 8.0):
+            k = int(round(n * p + z * sd))
+            if not 0 < k <= n:
+                continue
+            expected = float(stats.binom.logsf(k - 1, n, p))
+            assert binomial_log_survival(n, p, k) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_top_knot_is_exact(self):
+        assert binomial_log_survival(100, 0.3, 100) == 100 * math.log(0.3)
+
+    def test_stirling_error_table_and_series(self):
+        # the table against log-gamma, whose rounding stays near 1e-15 there
+        for m in range(1, 16):
+            direct = math.lgamma(m + 1.0) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2 * math.pi)
+            assert _stirlerr(m) == pytest.approx(direct, abs=1e-14)
+        # each truncated series branch against seven terms of the full series
+        coefs = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+        for m in (16, 35, 36, 80, 81, 500, 501, 10**6):
+            series = sum(c / float(m) ** (2 * j + 1) for j, c in enumerate(coefs))
+            assert _stirlerr(m) == pytest.approx(series, rel=1e-13)
+
+    def test_continued_fraction_reports_non_convergence(self):
+        with pytest.raises(RuntimeError):
+            _beta_cf(3000.0, 7001.0, 0.3, max_iter=2)
 
 
 class TestStepSurvival:

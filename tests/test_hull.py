@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tailbounds.bounds import MartingaleConditions, comparison_atom, comparison_hull
 from tailbounds.distributions import (
+    MERGE_REL_TOL,
     DiscreteDist,
     StepSurvival,
+    binomial_log_survival,
+    iid_sum_dist,
     iid_sum_survival,
     poisson_survival,
     two_point_from_range,
@@ -20,6 +24,7 @@ from tailbounds.distributions import (
 )
 from tailbounds.hull import (
     LogLinearHull,
+    binomial_hull_log_eval,
     eval_hull,
     is_log_concave_discrete,
     linear_envelope_eval,
@@ -254,3 +259,40 @@ class TestPoissonHull:
         for lam in (0.5, 2.0, 7.0):
             for k in range(0, 25):
                 assert poisson_hull_eval(lam, float(k)) >= poisson_survival(lam, k) - 1e-15
+
+
+class TestBinomialHull:
+    def test_edges(self):
+        assert binomial_hull_log_eval(10, 0.3, 0.0) == 0.0
+        assert binomial_hull_log_eval(10, 0.3, -2.5) == 0.0
+        assert binomial_hull_log_eval(10, 0.3, 4.0) == binomial_log_survival(10, 0.3, 4)
+        assert binomial_hull_log_eval(10, 0.3, 11.0) == -math.inf
+
+    def test_rounded_top_knot_snaps_to_n(self):
+        top = 10 * math.log(0.3)
+        assert binomial_hull_log_eval(10, 0.3, 10.0) == top
+        assert binomial_hull_log_eval(10, 0.3, 10.0 + 0.5 * MERGE_REL_TOL * 10) == top
+        assert binomial_hull_log_eval(10, 0.3, 10.0 + 2.0 * MERGE_REL_TOL * 10) == -math.inf
+
+    def test_geometric_interpolation(self):
+        lo = binomial_log_survival(20, 0.4, 9)
+        hi = binomial_log_survival(20, 0.4, 10)
+        assert binomial_hull_log_eval(20, 0.4, 9.25) == pytest.approx(0.75 * lo + 0.25 * hi, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400, 700])
+    def test_matches_materialized_comparison_hull(self, n):
+        # log B0 agrees to 1e-12 relative; near log B0 = 0 the materialized
+        # survival carries absolute rounding, hence the same 1e-12 as a floor
+        for p in (1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0 - 1e-6):
+            cond = MartingaleConditions.range_condition(np.full(n, p))
+            atom = comparison_atom(cond)
+            knots = iid_sum_dist(atom, n).support
+            width = atom.v_hi - atom.v_lo
+            xs = np.concatenate([
+                knots,
+                0.5 * (knots[:-1] + knots[1:]),
+                [knots[0] - 0.5 * width, knots[-1] + 0.5 * width],
+            ])
+            lazy = [binomial_hull_log_eval(n, atom.p_hi, (x - n * atom.v_lo) / width) for x in xs]
+            materialized = log_eval_hull(comparison_hull(cond), xs)
+            np.testing.assert_allclose(lazy, materialized, rtol=1e-12, atol=1e-12)
