@@ -180,29 +180,20 @@ class DiscreteDist:
 
 
 def _merge_close(support, logp):
-    """Merge support points closer than the tolerance; weighted-average values."""
+    """Merge support points closer than the tolerance; weighted-average values.
+
+    A gap above MERGE_REL_TOL * max(1, |prev|, |cur|) between sorted
+    neighbours starts a new group, so chains of close points merge as one.
+    """
     order = np.argsort(support, kind="stable")
     support = support[order]
     logp = logp[order]
-    groups = []
-    start = 0
-    for i in range(1, support.size):
-        prev, cur = support[i - 1], support[i]
-        if cur - prev > MERGE_REL_TOL * max(1.0, abs(prev), abs(cur)):
-            groups.append((start, i))
-            start = i
-    groups.append((start, support.size))
-    out_x = np.empty(len(groups))
-    out_lp = np.empty(len(groups))
-    for j, (a, b) in enumerate(groups):
-        lp = _logsumexp(logp[a:b])
-        out_lp[j] = lp
-        if b - a == 1:
-            out_x[j] = support[a]
-        else:
-            w = np.exp(logp[a:b] - lp)
-            out_x[j] = float(np.sum(w * support[a:b]))
-    return out_x, out_lp
+    scale = np.maximum(1.0, np.maximum(np.abs(support[:-1]), np.abs(support[1:])))
+    new_group = np.concatenate(([True], np.diff(support) > MERGE_REL_TOL * scale))
+    starts = np.flatnonzero(new_group)
+    out_lp = np.logaddexp.reduceat(logp, starts)
+    w = np.exp(logp - out_lp[np.cumsum(new_group) - 1])
+    return np.add.reduceat(w * support, starts), out_lp
 
 
 def convolve(d1, d2):
@@ -290,14 +281,8 @@ class StepSurvival:
 
     def eval(self, x):
         """B(x) = total mass at or above x; scalar or array."""
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.searchsorted(self.knots, x, side="left")
-        inside = idx < self.knots.size
-        out = np.zeros(x.shape, dtype=np.float64)
-        out[inside] = np.exp(self.log_values[idx[inside]])
-        if x.ndim == 0:
-            return float(out)
-        return out
+        out = np.exp(self.log_eval(x))
+        return float(out) if out.ndim == 0 else out
 
     def log_eval(self, x):
         """log B(x); -inf above the last knot."""

@@ -5,7 +5,9 @@ ran, and collects full-parameter counterexample rows for anything that failed.
 The acceptance tests run the same functions at the same scale.
 """
 
+import functools
 import inspect
+import itertools
 import math
 import time
 
@@ -40,13 +42,13 @@ from .bounds import (
     tail_bound_variance_poisson,
 )
 from .verify import (
-    MartingaleTree,
-    TreeNode,
     VerificationError,
+    _path_tails,
+    _two_point_nodes,
+    _two_point_paths,
     c1_search,
     convex_domination_check,
     convolution_log_concavity_check,
-    exact_tail_many,
     hoeffding_optimality_sequence,
     hull_necessity_ratio,
     iid_grid_sampler,
@@ -351,35 +353,6 @@ def suite_c1(seed=0):
     return res
 
 
-def _random_range_tree(rng, ps):
-    def build(level):
-        p = ps[level]
-        u = -p * rng.uniform(0.02, 1.0)
-        v = (1.0 - p) * rng.uniform(0.02, 1.0)
-        q_hi = -u / (v - u)
-        vals = np.array([u, v])
-        probs = np.array([1.0 - q_hi, q_hi])
-        if level == len(ps) - 1:
-            return TreeNode(vals, probs)
-        return TreeNode(vals, probs, children=(build(level + 1), build(level + 1)))
-
-    return MartingaleTree(build(0), depth=len(ps))
-
-
-def _random_variance_tree(rng, sigma2s, b):
-    def build(level):
-        s2 = sigma2s[level] * rng.uniform(0.02, 1.0)
-        h = b * rng.uniform(0.02, 1.0)
-        p_hi = s2 / (h * h + s2)
-        vals = np.array([-s2 / h, h])
-        probs = np.array([1.0 - p_hi, p_hi])
-        if level == len(sigma2s) - 1:
-            return TreeNode(vals, probs)
-        return TreeNode(vals, probs, children=(build(level + 1), build(level + 1)))
-
-    return MartingaleTree(build(0), depth=len(sigma2s))
-
-
 def suite_dominance(seed=0, n=2, trees_per_cell=420, mc_trials=200_000):
     """Exhaustive small-tree dominance plus a Monte Carlo spot check.
 
@@ -391,45 +364,32 @@ def suite_dominance(seed=0, n=2, trees_per_cell=420, mc_trials=200_000):
         raise ValueError("dominance suite enumerates depths 1 and 2 only")
     res = SuiteResult("dominance")
     rng = np.random.default_rng(seed)
-    p_grid = (0.15, 0.35, 0.5, 0.65, 0.85)
-    s2_grid = (0.1, 0.25, 0.5, 1.0, 2.0)
+    variants = (
+        ("range", "ps", (0.15, 0.35, 0.5, 0.65, 0.85),
+         MartingaleConditions.range_condition, tail_bound_range),
+        ("variance", "sigma2s", (0.1, 0.25, 0.5, 1.0, 2.0),
+         functools.partial(MartingaleConditions.one_sided_variance, 1.0), tail_bound_variance),
+    )
     trees = 0
 
     for depth in range(1, n + 1):
-        cells_p = [(p,) for p in p_grid] if depth == 1 else [(p1, p2) for p1 in p_grid for p2 in p_grid]
         per_cell = trees_per_cell if depth == n else max(trees_per_cell // 2, 100)
-        for ps in cells_p:
-            cond = MartingaleConditions.range_condition(np.array(ps))
-            S = iid_sum_survival(comparison_atom(cond), depth)
-            hull = log_concave_hull(S)
-            xs = np.sort(np.concatenate([S.knots, 0.5 * (S.knots[:-1] + S.knots[1:])]))
-            bound = np.array([tail_bound_range(cond, x, hull=hull).value for x in xs])
-            for _ in range(per_cell):
-                tree = _random_range_tree(rng, ps)
-                tails = exact_tail_many(tree, xs)
-                res.checks += xs.size
-                trees += 1
-                for j in np.nonzero(tails > bound + 1e-12)[0]:
+        for case, key, grid, make_cond, bound_fn in variants:
+            for cell in itertools.product(grid, repeat=depth):
+                cond = make_cond(np.array(cell))
+                S = iid_sum_survival(comparison_atom(cond), depth)
+                hull = log_concave_hull(S)
+                xs = np.sort(np.concatenate([S.knots, 0.5 * (S.knots[:-1] + S.knots[1:])]))
+                bound = np.array([bound_fn(cond, x, hull=hull).value for x in xs])
+                # one row of node scales per tree, breadth-first
+                scales = rng.uniform(0.02, 1.0, (per_cell, 2**depth - 1, 2))
+                tails = _path_tails(*_two_point_paths(*_two_point_nodes(cond, scales)), xs)
+                res.checks += tails.size
+                trees += per_cell
+                for t, j in zip(*np.nonzero(tails > bound + 1e-12)):
                     res.fail(
-                        case="range", depth=depth, ps=list(ps), x=float(xs[j]),
-                        tail=float(tails[j]), bound=float(bound[j]),
-                    )
-        cells_s = [(s,) for s in s2_grid] if depth == 1 else [(a, b) for a in s2_grid for b in s2_grid]
-        for s2s in cells_s:
-            cond = MartingaleConditions.one_sided_variance(1.0, np.array(s2s))
-            S = iid_sum_survival(comparison_atom(cond), depth)
-            hull = log_concave_hull(S)
-            xs = np.sort(np.concatenate([S.knots, 0.5 * (S.knots[:-1] + S.knots[1:])]))
-            bound = np.array([tail_bound_variance(cond, x, hull=hull).value for x in xs])
-            for _ in range(per_cell):
-                tree = _random_variance_tree(rng, s2s, 1.0)
-                tails = exact_tail_many(tree, xs)
-                res.checks += xs.size
-                trees += 1
-                for j in np.nonzero(tails > bound + 1e-12)[0]:
-                    res.fail(
-                        case="variance", depth=depth, sigma2s=list(s2s), x=float(xs[j]),
-                        tail=float(tails[j]), bound=float(bound[j]),
+                        case=case, depth=depth, **{key: list(cell)}, x=float(xs[j]),
+                        tail=float(tails[t, j]), bound=float(bound[j]),
                     )
 
     res.info["trees"] = trees

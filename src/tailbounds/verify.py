@@ -23,7 +23,6 @@ from .distributions import (
     poisson_survival,
     two_point_from_range,
     two_point_from_variance,
-    _logsumexp,
 )
 from .bounds import (
     MartingaleConditions,
@@ -174,15 +173,30 @@ def _paths(tree):
     return np.concatenate(sums), np.concatenate(logps)
 
 
+def _path_tails(sums, logps, xs):
+    """P{sum >= x} at each threshold from leaf path sums and log-probabilities.
+
+    ``sums`` and ``logps`` have shape (..., L), one row of paths per tree;
+    the thresholds ``xs`` (X,) are shared by every tree and the result has
+    shape (..., X). Thresholds are sorted in among the paths, ahead of equal
+    path sums, with no mass of their own, so one reverse log-sum over the
+    merged order reads each tail at its threshold's position.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    batch = sums.shape[:-1]
+    keys = np.concatenate([np.broadcast_to(xs, batch + xs.shape), sums], axis=-1)
+    masses = np.concatenate([np.full(batch + xs.shape, -np.inf), logps], axis=-1)
+    order = np.argsort(keys, axis=-1, kind="stable")
+    sorted_masses = np.take_along_axis(masses, order, axis=-1)
+    tails = np.logaddexp.accumulate(sorted_masses[..., ::-1], axis=-1)[..., ::-1]
+    unsorted = np.empty_like(tails)
+    np.put_along_axis(unsorted, order, tails, axis=-1)
+    return np.exp(unsorted[..., : xs.size])
+
+
 def exact_tail_many(tree, xs):
     """Exact P{M_n >= x} for each threshold, one path enumeration."""
-    sums, logps = _paths(tree)
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    out = np.empty(xs.shape)
-    for i, x in enumerate(xs):
-        sel = logps[sums >= x]
-        out[i] = math.exp(_logsumexp(sel)) if sel.size else 0.0
-    return out
+    return _path_tails(*_paths(tree), xs)
 
 
 def exact_tail(tree, x):
@@ -207,55 +221,51 @@ class SearchReport:
         return self.best_tail / self.bound_value if self.bound_value > 0 else math.inf
 
 
-def _range_node(p, su, sv):
-    u = -p * su
-    v = (1.0 - p) * sv
-    q_hi = -u / (v - u)
-    return np.array([u, v]), np.array([1.0 - q_hi, q_hi])
+def _two_point_nodes(cond, scales):
+    """Extremal two-point node laws of binary trees, from per-node scales.
 
-
-def _variance_node(sigma2, b, ss, sh):
-    s2 = sigma2 * ss
-    h = b * sh
-    p_hi = s2 / (h * h + s2)
-    return np.array([-s2 / h, h]), np.array([1.0 - p_hi, p_hi])
-
-
-def _tree_tail_from_params(cond, params, x):
-    """Tail of the two-point tree encoded by scale parameters in (0, 1]^2 per node.
-
-    Node i at depth k uses params[2i], params[2i+1]; nodes are laid out
-    breadth-first (1, 2, 4 per level for binary branching).
+    ``scales`` has shape (..., 2**n - 1, 2): one row per node, breadth-first
+    (1, 2, 4 nodes per level; node i's children are 2i + 1 and 2i + 2).
+    Under the range condition a node at level k sits on the range atom xi
+    ``{-p_k su, (1 - p_k) sv}``; under the variance condition on the atom
+    theta ``{-s2/h, h}`` with ``s2 = sigma2_k ss`` and ``h = b sh``. Returns
+    node values and the upper atom's probability, (..., 2**n - 1, 2) and
+    (..., 2**n - 1).
     """
     n = cond.n
-    make = _range_node if cond.variant == "range" else _variance_node
+    level = np.floor(np.log2(np.arange(1, 2**n))).astype(int)
+    s_lo, s_hi = scales[..., 0], scales[..., 1]
+    if cond.variant == "range":
+        u = -cond.ps[level] * s_lo
+        v = (1.0 - cond.ps[level]) * s_hi
+        return np.stack([u, v], axis=-1), -u / (v - u)
+    s2 = cond.sigma2s[level] * s_lo
+    h = cond.b * s_hi
+    return np.stack([-s2 / h, h], axis=-1), s2 / (h * h + s2)
 
-    def build(level, index):
-        k = level - 1
-        i = (2**k - 1) + index
-        if cond.variant == "range":
-            vals, probs = make(cond.ps[k], params[2 * i], params[2 * i + 1])
-        else:
-            vals, probs = make(cond.sigma2s[k], cond.b, params[2 * i], params[2 * i + 1])
-        if level == n:
-            return vals, probs, None
-        lo = build(level + 1, 2 * index)
-        hi = build(level + 1, 2 * index + 1)
-        return vals, probs, (lo, hi)
 
-    def tail(node, acc):
-        vals, probs, children = node
-        total = 0.0
-        for j in range(2):
-            s = acc + vals[j]
-            if children is None:
-                if s >= x:
-                    total += probs[j]
-            else:
-                total += probs[j] * tail(children[j], s)
-        return total
+def _two_point_paths(values, q_hi):
+    """Path sums and log-probabilities of binary trees in breadth-first form.
 
-    return tail(build(1, 0), 0.0)
+    ``values`` (..., 2**n - 1, 2) holds each node's lower and upper atom and
+    ``q_hi`` (..., 2**n - 1) the upper atom's probability. Every node must be
+    a law (q_hi in [0, 1]) with conditional mean 0, as ``TreeNode`` demands.
+    Returns two arrays of shape (..., 2**n), leaves in left-to-right order.
+    """
+    probs = np.stack([1.0 - q_hi, q_hi], axis=-1)
+    if not np.all((q_hi >= 0.0) & (q_hi <= 1.0)):
+        raise ValueError("node probabilities must lie in [0, 1]")
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=-1))
+    if not np.all(np.abs(np.sum(values * probs, axis=-1)) <= 1e-12 * scale):
+        raise ValueError("conditional mean must vanish (martingale differences)")
+    n = int(np.log2(values.shape[-2] + 1))
+    leaf = np.arange(2**n)
+    k = np.arange(n)[:, None]
+    node = 2**k - 1 + (leaf >> (n - k))
+    branch = (leaf >> (n - 1 - k)) & 1
+    with np.errstate(divide="ignore"):
+        logps = np.log(probs)
+    return values[..., node, branch].sum(axis=-2), logps[..., node, branch].sum(axis=-2)
 
 
 def worst_case_search(cond, x, budget=6000, seed=0, restarts=6):
@@ -277,9 +287,12 @@ def worst_case_search(cond, x, budget=6000, seed=0, restarts=6):
     evals = 0
 
     def objective(params):
+        """Tails of the trees in a (..., dim) batch of parameter vectors."""
         nonlocal evals
-        evals += 1
-        return _tree_tail_from_params(cond, params, x)
+        scales = params.reshape(params.shape[:-1] + (n_nodes, 2))
+        tails = _path_tails(*_two_point_paths(*_two_point_nodes(cond, scales)), x)[..., 0]
+        evals += tails.size
+        return tails
 
     # seeded starts: full-scale atoms, plus upper atoms placed so path sums
     # hit the threshold exactly (the n = 1 extremal laws have this shape)
@@ -301,17 +314,17 @@ def worst_case_search(cond, x, budget=6000, seed=0, restarts=6):
     best_params = None
     for start in starts:
         params = np.clip(start, 1e-6, 1.0)
-        current = objective(params)
+        current = float(objective(params))
         improved = True
         while improved and evals < budget:
             improved = False
             for d in range(dim):
-                trial = params.copy()
-                vals = []
-                for v in scan:
-                    trial[d] = v
-                    vals.append(objective(trial))
-                j = int(np.argmax(vals))
+                trial = np.repeat(params[None, :], scan.size, axis=0)
+                trial[:, d] = scan
+                vals = objective(trial)
+                # tails within the 1e-15 noise floor tie; the first scan value wins,
+                # so last-bit rounding of the tail does not steer the ascent
+                j = int(np.argmax(vals >= vals.max() - 1e-15))
                 if vals[j] > current + 1e-15:
                     params[d] = scan[j]
                     current = vals[j]

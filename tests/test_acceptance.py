@@ -5,6 +5,7 @@ runtime-limited criteria assert their wall-clock budget.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -31,11 +32,15 @@ def criterion(num, label):
 
 def test_criterion_01_worst_constant_reproduction():
     with criterion(1, "n=1 worst constant via the CLI"):
+        # the child imports the same tailbounds as this process, installed or not
+        src = os.path.dirname(os.path.dirname(tb.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "tailbounds.cli", "verify", "--suite", "c1", "--seed", "7"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr

@@ -11,9 +11,11 @@ import pytest
 from scipy import stats
 
 from tailbounds.distributions import (
+    MERGE_REL_TOL,
     DiscreteDist,
     StepSurvival,
     _beta_cf,
+    _merge_close,
     _stirlerr,
     binomial_log_survival,
     convolve,
@@ -191,6 +193,50 @@ class TestConvolve:
         np.testing.assert_allclose(S_conv.knots, S_direct.knots, atol=1e-12)
         np.testing.assert_allclose(S_conv.values, S_direct.values, rtol=1e-12)
 
+    def test_close_chain_merges_to_weighted_mean(self):
+        # the sums 0, e and 2e sit within MERGE_REL_TOL of their neighbours but
+        # 2e does not of 0: the chain still merges into one point
+        e = 0.7 * MERGE_REL_TOL
+        d1 = DiscreteDist.from_probs([0.0, 1.0, 3.0], [0.2, 0.3, 0.5])
+        d2 = DiscreteDist.from_probs([-3.0 + 2.0 * e, -1.0 + e, 0.0], [0.1, 0.6, 0.3])
+        out = convolve(d1, d2)
+        assert out.support.size == 7
+        chain = [(3.0 + (-3.0 + 2.0 * e), 0.5 * 0.1), (1.0 + (-1.0 + e), 0.3 * 0.6), (0.0, 0.2 * 0.3)]
+        mass = math.fsum(p for _, p in chain)
+        (j,) = np.nonzero(np.abs(out.support) < 1e-6)[0]
+        assert out.probs[j] == pytest.approx(mass, rel=1e-14)
+        assert out.support[j] == pytest.approx(math.fsum(v * p for v, p in chain) / mass, rel=1e-12)
+        assert 0.0 < out.support[j] < 2.0 * e
+
+    def test_merge_matches_loop_reference(self):
+        def merge_loop(support, logp):
+            order = np.argsort(support, kind="stable")
+            support, logp = support[order], logp[order]
+            groups, start = [], 0
+            for i in range(1, support.size):
+                prev, cur = support[i - 1], support[i]
+                if cur - prev > MERGE_REL_TOL * max(1.0, abs(prev), abs(cur)):
+                    groups.append((start, i))
+                    start = i
+            groups.append((start, support.size))
+            out_x, out_lp = [], []
+            for a, b in groups:
+                lp = np.logaddexp.reduce(logp[a:b])
+                out_lp.append(lp)
+                out_x.append(float(np.sum(np.exp(logp[a:b] - lp) * support[a:b])))
+            return np.array(out_x), np.array(out_lp)
+
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            base = rng.uniform(-50.0, 50.0, int(rng.integers(1, 12)))
+            jitter = rng.uniform(-2.0, 2.0, (base.size, 4)) * MERGE_REL_TOL * np.maximum(1.0, np.abs(base))[:, None]
+            support = np.concatenate([base, (base[:, None] + jitter).ravel()[: rng.integers(0, 4 * base.size + 1)]])
+            logp = np.log(rng.dirichlet(np.ones(support.size)))
+            x, lp = _merge_close(support, logp)
+            x_ref, lp_ref = merge_loop(support, logp)
+            np.testing.assert_allclose(x, x_ref, rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(lp, lp_ref, rtol=1e-13, atol=1e-14)
+
 
 class TestPoissonSurvival:
     def test_whole_mass(self):
@@ -324,6 +370,13 @@ class TestStepSurvival:
         assert S.eval(1.0) == pytest.approx(0.25, rel=1e-14)
         assert S.eval(1.0 + 1e-12) == 0.0
         np.testing.assert_allclose(S.eval(np.array([-2.0, 0.3, 2.0])), [1.0, 0.25, 0.0], rtol=1e-13)
+
+    def test_eval_is_exp_of_log_eval(self):
+        S = iid_sum_survival(two_point_from_variance(0.3, 0.9), 12)
+        xs = np.concatenate([S.knots, S.knots + 1e-3, [-np.inf, np.inf, S.knots[0] - 5.0]])
+        np.testing.assert_array_equal(S.eval(xs), np.exp(S.log_eval(xs)))
+        assert type(S.eval(0.1)) is float and type(S.log_eval(0.1)) is float
+        assert S.eval(float(S.knots[-1]) + 1.0) == 0.0
 
     def test_invariants(self):
         S = iid_sum_survival(two_point_from_variance(0.3, 0.9), 30)

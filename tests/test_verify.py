@@ -19,7 +19,12 @@ from tailbounds.bounds import (
 )
 from tailbounds.suites import run_suite
 from tailbounds.verify import (
+    MartingaleTree,
     TreeNode,
+    _path_tails,
+    _paths,
+    _two_point_nodes,
+    _two_point_paths,
     c1_search,
     ceil_safe,
     convex_domination_check,
@@ -84,6 +89,73 @@ class TestTrees:
             iid_tree(two_point_from_range(-0.8, 0.2), 2, condition=cond)
 
 
+def _node_tree(cond, scales):
+    """Reference tree from breadth-first node scales, built node by node."""
+
+    def build(level, index):
+        su, sv = scales[2**level - 1 + index]
+        if cond.variant == "range":
+            p = cond.ps[level]
+            atom = two_point_from_range(-p * su, (1.0 - p) * sv)
+        else:
+            atom = two_point_from_variance(cond.sigma2s[level] * su, cond.b * sv)
+        values = [atom.v_lo, atom.v_hi]
+        probs = [1.0 - atom.p_hi, atom.p_hi]
+        if level == cond.n - 1:
+            return TreeNode(values, probs)
+        return TreeNode(values, probs, children=(build(level + 1, 2 * index), build(level + 1, 2 * index + 1)))
+
+    return MartingaleTree(build(0, 0), depth=cond.n, condition=cond)
+
+
+class TestTwoPointEngine:
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["range", "variance"])
+    def test_matches_tree_nodes(self, depth, variant):
+        rng = np.random.default_rng(depth)
+        if variant == "range":
+            cond = MartingaleConditions.range_condition(rng.uniform(0.1, 0.9, depth))
+        else:
+            cond = MartingaleConditions.one_sided_variance(1.3, rng.uniform(0.1, 2.0, depth))
+        scales = rng.uniform(0.02, 1.0, (20, 2**depth - 1, 2))
+        sums, logps = _two_point_paths(*_two_point_nodes(cond, scales))
+        assert sums.shape == logps.shape == (20, 2**depth)
+        for row, sc in enumerate(scales):
+            tree = _node_tree(cond, sc)
+            ref_sums = np.sort(_paths(tree)[0])
+            np.testing.assert_array_equal(np.sort(sums[row]), ref_sums)
+            # every path sum (>= ties), midpoints, and both sides of the support
+            xs = np.concatenate(
+                [ref_sums, 0.5 * (ref_sums[1:] + ref_sums[:-1]), [ref_sums[0] - 1.0, ref_sums[-1] + 1.0]]
+            )
+            tails = _path_tails(sums[row], logps[row], xs)
+            np.testing.assert_allclose(tails, exact_tail_many(tree, xs), rtol=0, atol=1e-13)
+            assert tails[-2] == pytest.approx(1.0, abs=1e-13)
+            assert tails[-1] == 0.0
+        batch = _path_tails(sums, logps, xs)
+        np.testing.assert_array_equal(batch[-1], _path_tails(sums[-1], logps[-1], xs))
+
+    def test_rejects_non_centered_node(self):
+        values = np.array([[-1.0, 1.0]])
+        with pytest.raises(ValueError, match="mean"):
+            _two_point_paths(values, np.array([0.7]))
+        with pytest.raises(ValueError, match="probabilities"):
+            _two_point_paths(values, np.array([1.5]))
+        with pytest.raises(ValueError, match="probabilities"):
+            _two_point_paths(values, np.array([np.nan]))
+
+    def test_exact_tail_many_matches_threshold_loop(self):
+        # unsorted, repeated and infinite thresholds on a three-point iid tree
+        d = DiscreteDist.from_probs([-1.0, 0.25, 2.0], [0.3, 0.6, 0.1])
+        d = DiscreteDist(d.support - d.mean, d.logp)
+        tree = iid_tree(d, 6)
+        sums, logps = _paths(tree)
+        rng = np.random.default_rng(4)
+        xs = np.concatenate([rng.choice(sums, 30), rng.uniform(-8.0, 14.0, 30), [np.inf, -np.inf, 0.0, 0.0]])
+        ref = [math.exp(np.logaddexp.reduce(logps[sums >= x])) if np.any(sums >= x) else 0.0 for x in xs]
+        np.testing.assert_allclose(exact_tail_many(tree, xs), ref, rtol=1e-13, atol=1e-300)
+
+
 class TestWorstCaseSearch:
     def test_n1_variance_attains_exact(self):
         cond = MartingaleConditions.one_sided_variance(1.0, [1.0])
@@ -101,6 +173,37 @@ class TestWorstCaseSearch:
         for x in (0.25, 0.5, 0.75, 1.0):
             report = worst_case_search(cond, x, seed=5, budget=4000)
             assert report.ratio < 1.0
+
+    @pytest.mark.parametrize(
+        "variant, caps, x, kwargs, evaluations, best_tail",
+        [
+            ("variance", [1.0], 1.0, dict(seed=3), 2608, 0.5),
+            ("range", [0.5], 0.5, dict(seed=3), 2608, 0.5),
+            ("range", [0.5, 0.5], 0.25, dict(seed=5, budget=4000), 4039, 0.6666660000006667),
+            ("range", [0.5, 0.5], 0.5, dict(seed=5, budget=4000), 4039, 0.49999950000050003),
+            ("range", [0.5, 0.5], 0.75, dict(seed=5, budget=4000), 4039, 0.33333322222225925),
+            ("range", [0.5, 0.5], 1.0, dict(seed=5, budget=4000), 3519, 0.25),
+            ("variance", [1.0], 1.0, dict(seed=11), 2608, 0.5),
+            ("range", [0.5, 0.5], 0.5, dict(seed=11), 6054, 0.49999950000050003),
+            ("range", [0.5, 0.5], 1.0, dict(seed=11), 3519, 0.25),
+            ("variance", [0.5, 1.0, 0.3], 0.9, dict(seed=4), 6055, 0.591414572733837),
+        ],
+    )
+    def test_pinned_evaluations_and_tails(self, variant, caps, x, kwargs, evaluations, best_tail):
+        if variant == "range":
+            cond = MartingaleConditions.range_condition(caps)
+        else:
+            cond = MartingaleConditions.one_sided_variance(1.0, caps)
+        report = worst_case_search(cond, x, **kwargs)
+        assert report.evaluations == evaluations
+        assert report.best_tail == pytest.approx(best_tail, abs=1e-12)
+
+    def test_zero_cap_step(self):
+        # a zero variance cap or p = 0 pins that step's difference at 0
+        cond = MartingaleConditions.one_sided_variance(1.0, [0.0, 1.0])
+        assert worst_case_search(cond, 0.5).best_tail == pytest.approx(0.8, abs=1e-12)
+        cond = MartingaleConditions.range_condition([0.0, 0.5])
+        assert worst_case_search(cond, 0.5).best_tail == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_deep_trees(self):
         cond = MartingaleConditions.range_condition([0.5] * 4)
@@ -319,6 +422,12 @@ class TestCeilSafe:
 
 
 class TestRunSuite:
+    def test_dominance_counts_pinned(self):
+        (res,) = run_suite("dominance", seed=0)
+        assert res.checks == 111_318
+        assert res.info["trees"] == 23_100
+        assert res.failures == []
+
     def test_rejects_unknown_keyword(self):
         with pytest.raises(ValueError):
             run_suite("lemma48", bogus=1)
