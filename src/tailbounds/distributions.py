@@ -2,8 +2,10 @@
 
 Everything is carried in log space: a sum of a few hundred two-point atoms
 already has tail masses near 1e-300, and the bounds built on top of these
-survival functions are interesting exactly in that regime. Tail sums are
-always accumulated from the smallest term.
+survival functions are interesting exactly in that regime. Survival functions
+of exact sums (``_reverse_tail_logsum``) are accumulated from the smallest
+term; the Poisson tail sums its ratio series from the term next to the mean,
+and the binomial tail is a continued fraction.
 """
 
 import math
@@ -33,17 +35,6 @@ MERGE_REL_TOL = 1e-9
 _NEG_INF = float("-inf")
 
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
-
-
-def _logsumexp(a):
-    """log(sum(exp(a))) with the usual max shift; -inf for an empty input."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        return _NEG_INF
-    m = np.max(a)
-    if m == _NEG_INF:
-        return _NEG_INF
-    return float(m + np.log(np.sum(np.exp(a - m))))
 
 
 def _reverse_tail_logsum(logp):
@@ -135,7 +126,8 @@ class DiscreteDist:
             scale = np.maximum(1.0, np.maximum(np.abs(support[1:]), np.abs(support[:-1])))
             if np.any(gaps <= MERGE_REL_TOL * scale):
                 raise ValueError("support must be strictly increasing beyond the merge tolerance")
-        total = _logsumexp(logp)
+        top = np.max(logp)
+        total = _NEG_INF if top == _NEG_INF else float(top + np.log(np.sum(np.exp(logp - top))))
         if abs(math.expm1(total)) > 1e-12:
             raise ValueError(f"probabilities sum to exp({total}) != 1")
 
@@ -319,80 +311,6 @@ def iid_sum_survival(d, n):
 
 # --- reference survival functions -------------------------------------------
 
-_POISSON_SERIES_LAMBDA = 30.0
-
-
-def _poisson_log_pmf(lam, j):
-    return j * math.log(lam) - lam - math.lgamma(j + 1.0)
-
-
-def _poisson_log_sf_series(lam, k):
-    # sum of pmf terms j >= k until the addition is negligible; logsumexp
-    # handles the ordering.
-    terms = []
-    biggest = -math.inf
-    j = k
-    peak = max(float(k), lam)
-    while True:
-        lt = _poisson_log_pmf(lam, j)
-        terms.append(lt)
-        biggest = max(biggest, lt)
-        # past the mode the terms decay at least geometrically with ratio
-        # lam/(j+1); stop once the remaining tail cannot move the sum
-        if j > peak and lt < biggest - 45.0:
-            break
-        j += 1
-        if j > k + 10_000_000:  # pragma: no cover - defensive
-            raise RuntimeError("poisson series failed to converge")
-    return _logsumexp(np.array(terms))
-
-
-def _upper_gamma_cf(a, x, accuracy=1e-15, max_iter=500):
-    """Continued fraction for the regularized upper incomplete gamma Q(a, x).
-
-    Valid for x >= a + 1; returns log Q(a, x).
-    """
-    logfront = -x + a * math.log(x) - math.lgamma(a)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < accuracy:
-            return logfront + math.log(h)
-    raise RuntimeError("incomplete gamma continued fraction did not converge")
-
-
-def poisson_log_survival(lam, k):
-    """log P{eta >= k} for a Poisson(lam) variable, integer ``k``."""
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    k = int(k)
-    if k <= 0:
-        return 0.0
-    if lam <= _POISSON_SERIES_LAMBDA or lam < k + 1.0:
-        return _poisson_log_sf_series(lam, k)
-    # lam >= k + 1: the survival is >= 1/2-ish, so 1 - Q loses nothing
-    logq = _upper_gamma_cf(float(k), lam)
-    return math.log1p(-math.exp(logq))
-
-
-def poisson_survival(lam, k):
-    """P{eta >= k} for Poisson(lam), accurate to better than 1e-13 relative."""
-    return math.exp(poisson_log_survival(lam, k))
-
 
 def gaussian_survival(x):
     """Standard normal upper tail 1 - Phi(x) via the complementary error function."""
@@ -444,6 +362,45 @@ def _bd0(x, mean):
             s = s1
             j += 1
     return x * math.log(x / mean) + mean - x
+
+
+def _poisson_log_pmf(lam, k):
+    """log P{eta = k} for Poisson(lam) by Loader's saddle-point form, k >= 0."""
+    if k == 0:
+        return -lam
+    return -_stirlerr(k) - _bd0(float(k), lam) - 0.5 * (_LOG_2PI + math.log(k))
+
+
+def poisson_log_survival(lam, k):
+    """log P{eta >= k} for a Poisson(lam) variable, integer ``k``.
+
+    The smaller side of the law is summed: P{eta >= k} for k > lam, else
+    P{eta <= k - 1}, whose complement is returned. The sum starts at the
+    pmf term next to the mean and walks away from it by the ratios
+    lam/(j + 1) up or j/lam down, until a term no longer changes the sum.
+    """
+    if not lam > 0.0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    k = int(k)
+    if k <= 0:
+        return 0.0
+    upper = k > lam
+    j = k if upper else k - 1
+    log_first = _poisson_log_pmf(lam, j)
+    total = term = 1.0
+    while upper or j > 0:
+        term *= lam / (j + 1) if upper else j / lam
+        j += 1 if upper else -1
+        if total + term == total:
+            break
+        total += term
+    log_side = log_first + math.log(total)
+    return log_side if upper else math.log1p(-math.exp(log_side))
+
+
+def poisson_survival(lam, k):
+    """P{eta >= k} for Poisson(lam), accurate to better than 1e-13 relative."""
+    return math.exp(poisson_log_survival(lam, k))
 
 
 def _binomial_log_pmf(n, p, k):

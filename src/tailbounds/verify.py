@@ -155,21 +155,23 @@ def iid_tree(d, n, condition=None):
 
 
 def _paths(tree):
-    """All leaf path sums with their log-probabilities."""
-    sums = []
-    logps = []
+    """All leaf path sums with their log-probabilities.
+
+    Paths grow level by level, root first. Paths that reach the same node
+    object (``iid_tree`` shares one node per level) grow as one array.
+    """
+    level = [(tree.root, np.zeros(1), np.zeros(1))]
     with np.errstate(divide="ignore"):
-        stack = [(tree.root, 0.0, 0.0)]
-        while stack:
-            node, acc, logp = stack.pop()
-            logs = logp + np.log(node.probs)
-            vals = acc + node.values
-            if node.children is None:
-                sums.append(vals)
-                logps.append(logs)
-            else:
-                for child, v, lp in zip(node.children, vals, logs):
-                    stack.append((child, v, lp))
+        while level[0][0].children is not None:
+            reached = {}
+            for node, sums, logps in level:
+                for child, v, lp in zip(node.children, node.values, np.log(node.probs)):
+                    _, child_sums, child_logps = reached.setdefault(id(child), (child, [], []))
+                    child_sums.append(sums + v)
+                    child_logps.append(logps + lp)
+            level = [(c, np.concatenate(ss), np.concatenate(ls)) for c, ss, ls in reached.values()]
+        sums = [(s[:, None] + node.values).ravel() for node, s, _ in level]
+        logps = [(ls[:, None] + np.log(node.probs)).ravel() for node, _, ls in level]
     return np.concatenate(sums), np.concatenate(logps)
 
 
@@ -218,7 +220,10 @@ class SearchReport:
 
     @property
     def ratio(self):
-        return self.best_tail / self.bound_value if self.bound_value > 0 else math.inf
+        """best_tail / bound_value; 0 for a zero tail, inf for a positive tail over a zero bound."""
+        if self.bound_value > 0:
+            return self.best_tail / self.bound_value
+        return math.inf if self.best_tail > 0 else 0.0
 
 
 def _two_point_nodes(cond, scales):

@@ -1,8 +1,9 @@
 """Tests for the closed-form bound families and the confidence inverter.
 
-Oracles: exact binomial tails (scipy), the explicit n = 1 extremal formulas,
-dense h-grids for the moment-generating-function infimum, and frozen values
-computed from the formulas directly.
+Oracles: exact binomial tails (scipy), 50-digit Poisson tails (mpmath), the
+explicit n = 1 extremal formulas, dense h-grids for the
+moment-generating-function infimum, and frozen values computed from the
+formulas directly.
 """
 
 import math
@@ -186,6 +187,43 @@ class TestDominanceBounds:
         )
         expected = RANGE_POISSON_CONST * float(stats.poisson.sf(19, 10.0))
         assert tail_bound_range_poisson(cond, 5.0).value == pytest.approx(expected, rel=1e-12)
+
+    def test_poisson_coarsenings_against_mpmath(self, mp_poisson_log_survival):
+        # the hull is the log-linear interpolation of the 50-digit log survival
+        def reference_log_hull(lam, y):
+            k0 = math.floor(y)
+            lo, hi = mp_poisson_log_survival(lam, k0), mp_poisson_log_survival(lam, k0 + 1)
+            return (1.0 - (y - k0)) * lo + (y - k0) * hi
+
+        cases = [
+            (MartingaleConditions.one_sided_variance(0.5, np.full(8, 0.3)), tail_bound_variance_poisson),
+            (MartingaleConditions.one_sided_variance(2.0, np.full(5000, 3.0)), tail_bound_variance_poisson),
+            (MartingaleConditions.range_condition(np.full(40, 0.3)), tail_bound_range_poisson),
+            (MartingaleConditions.range_condition(np.full(2000, 0.9)), tail_bound_range_poisson),
+        ]
+        for cond, bound in cases:
+            if cond.variant == "range":
+                p = cond.mean_p
+                lam, scale = p * cond.n / (1.0 - p), 1.0 - p
+            else:
+                lam, scale = float(np.sum(cond.sigma2s)) / cond.b**2, cond.b
+            for z in (-6.0, -2.0, -0.3, 0.0, 0.7, 2.0, 6.0, 12.0):
+                x = z * math.sqrt(lam) * scale
+                res = bound(cond, x)
+                expected = reference_log_hull(lam, lam + x / scale)
+                got = math.log(res.hull_value)
+                assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected)), (lam, z, got, expected)
+                assert res.value == res.constant * res.hull_value
+
+    def test_variance_poisson_just_below_the_mean_at_large_lambda(self, mp_poisson_log_survival):
+        # the hull between k = 999 998 and 999 999, both just below the mean
+        cond = MartingaleConditions.one_sided_variance(1.0, np.full(10**6, 1.0))
+        res = tail_bound_variance_poisson(cond, -1.5)
+        expected = 0.5 * (
+            mp_poisson_log_survival(1e6, 999_998) + mp_poisson_log_survival(1e6, 999_999)
+        )
+        assert math.isfinite(res.value)
+        assert abs(math.log(res.hull_value) - expected) <= 1e-13
 
     def test_symmetric_bound_examples(self):
         cond = MartingaleConditions.symmetric([1.0, 1.0])

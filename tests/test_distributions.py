@@ -1,7 +1,7 @@
 """Tests for two-point atoms, exact sums, and reference survival functions.
 
 Oracles: brute-force enumeration over all 2^n outcomes, scipy.stats tails,
-and direct log-space series summation.
+direct log-space series summation and 50-digit mpmath sums.
 """
 
 import math
@@ -291,6 +291,33 @@ class TestPoissonSurvival:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             poisson_survival(0.0, 1)
+
+
+def assert_log_survival_close(value, reference, label):
+    assert math.isfinite(value), label
+    assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference)), (label, value, reference)
+
+
+class TestPoissonAgainstMpmath:
+    """Against 50-digit direct sums: |d log S| <= 1e-13 max(1, |log S|)."""
+
+    @pytest.mark.parametrize("lam", [1e-10, 0.1, 1.0, 5.0, 29.5, 30.5, 200.0, 1e4, 1e6])
+    def test_standard_deviation_grid(self, lam, mp_poisson_log_survival):
+        sd = math.sqrt(lam)
+        ks = {math.ceil(lam + z * sd) for z in (-6, -2, 0, 2, 6, 12, 20, 40)}
+        # both sides of the switch between summing the upper and the lower side
+        ks |= {math.floor(lam), math.floor(lam) + 1}
+        for k in sorted(ks):
+            assert_log_survival_close(
+                poisson_log_survival(lam, k), mp_poisson_log_survival(lam, k), (lam, k)
+            )
+
+    def test_just_below_the_mean_at_large_lambda(self, mp_poisson_log_survival):
+        # just below a large mean, where the lower side is summed and complemented
+        for k in (999_998, 999_999):
+            assert_log_survival_close(
+                poisson_log_survival(1e6, k), mp_poisson_log_survival(1e6, k), k
+            )
 
 
 class TestGaussianSurvival:

@@ -20,6 +20,7 @@ from tailbounds.bounds import (
 from tailbounds.suites import run_suite
 from tailbounds.verify import (
     MartingaleTree,
+    SearchReport,
     TreeNode,
     _path_tails,
     _paths,
@@ -156,6 +157,52 @@ class TestTwoPointEngine:
         np.testing.assert_allclose(exact_tail_many(tree, xs), ref, rtol=1e-13, atol=1e-300)
 
 
+def _paths_node_by_node(tree):
+    """Reference path enumeration: every node visited, depth first, root first."""
+    sums, logps = [], []
+    stack = [(tree.root, 0.0, 0.0)]
+    while stack:
+        node, acc, logp = stack.pop()
+        vals, logs = acc + node.values, logp + np.log(node.probs)
+        if node.children is None:
+            sums.append(vals)
+            logps.append(logs)
+        else:
+            stack.extend(zip(node.children, vals, logs))
+    return np.concatenate(sums), np.concatenate(logps)
+
+
+def _random_three_point_tree(rng, depth):
+    """Depth-``depth`` tree with a fresh centered three-point law at every node."""
+    probs = rng.dirichlet(np.ones(3))
+    values = rng.uniform(-1.0, 1.0, 3)
+    values -= values @ probs
+    if depth == 1:
+        return TreeNode(values, probs)
+    children = tuple(_random_three_point_tree(rng, depth - 1) for _ in range(3))
+    return TreeNode(values, probs, children=children)
+
+
+class TestPaths:
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_same_pairs_as_node_by_node_walk(self, shared):
+        if shared:
+            tree = iid_tree(two_point_from_variance(0.37, 0.9), 12)
+        else:
+            tree = MartingaleTree(_random_three_point_tree(np.random.default_rng(8), 4), depth=4)
+        sums, logps = _paths(tree)
+        ref_sums, ref_logps = _paths_node_by_node(tree)
+        # the multiset of (sum, log-prob) pairs is bitwise the same
+        order, ref_order = np.lexsort((logps, sums)), np.lexsort((ref_logps, ref_sums))
+        np.testing.assert_array_equal(sums[order], ref_sums[ref_order])
+        np.testing.assert_array_equal(logps[order], ref_logps[ref_order])
+        # tied sums may be added in another order, so tails agree to rounding
+        xs = np.concatenate([np.unique(ref_sums), [ref_sums.min() - 1.0, ref_sums.max() + 1.0]])
+        np.testing.assert_allclose(
+            exact_tail_many(tree, xs), _path_tails(ref_sums, ref_logps, xs), rtol=0, atol=1e-13
+        )
+
+
 class TestWorstCaseSearch:
     def test_n1_variance_attains_exact(self):
         cond = MartingaleConditions.one_sided_variance(1.0, [1.0])
@@ -204,6 +251,18 @@ class TestWorstCaseSearch:
         assert worst_case_search(cond, 0.5).best_tail == pytest.approx(0.8, abs=1e-12)
         cond = MartingaleConditions.range_condition([0.0, 0.5])
         assert worst_case_search(cond, 0.5).best_tail == pytest.approx(0.5, abs=1e-12)
+
+    def test_threshold_above_every_path(self):
+        # the best tail and the bound are both 0 there: ratio 0, no violation
+        for cond, x in (
+            (MartingaleConditions.one_sided_variance(1.0, [1.0]), 1.07),
+            (MartingaleConditions.range_condition([0.3]), 0.75),
+        ):
+            report = worst_case_search(cond, x)
+            assert report.best_tail == 0.0
+            assert report.bound_value == 0.0
+            assert report.ratio == 0.0
+        assert SearchReport(1e-3, 0.0, {}, 1).ratio == math.inf
 
     def test_rejects_deep_trees(self):
         cond = MartingaleConditions.range_condition([0.5] * 4)
