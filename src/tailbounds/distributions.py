@@ -124,11 +124,14 @@ class DiscreteDist:
         if support.size > 1:
             gaps = np.diff(support)
             scale = np.maximum(1.0, np.maximum(np.abs(support[1:]), np.abs(support[:-1])))
-            if np.any(gaps <= MERGE_REL_TOL * scale):
+            if not np.all(gaps > MERGE_REL_TOL * scale):
                 raise ValueError("support must be strictly increasing beyond the merge tolerance")
+        # increasing points are finite when both ends are
+        if not (math.isfinite(support[0]) and math.isfinite(support[-1])):
+            raise ValueError("support points must be finite")
         top = np.max(logp)
         total = _NEG_INF if top == _NEG_INF else float(top + np.log(np.sum(np.exp(logp - top))))
-        if abs(math.expm1(total)) > 1e-12:
+        if not abs(math.expm1(total)) <= 1e-12:
             raise ValueError(f"probabilities sum to exp({total}) != 1")
 
     @property
@@ -240,11 +243,14 @@ class StepSurvival:
         object.__setattr__(self, "log_values", log_values)
         if knots.ndim != 1 or knots.shape != log_values.shape or knots.size == 0:
             raise ValueError("knots and log_values must be matching nonempty 1-D arrays")
-        if np.any(np.diff(knots) <= 0):
+        if not np.all(np.diff(knots) > 0):
             raise ValueError("knots must be strictly increasing")
+        # increasing knots are finite when both ends are
+        if not (math.isfinite(knots[0]) and math.isfinite(knots[-1])):
+            raise ValueError("knots must be finite")
         if log_values[0] != 0.0:
             raise ValueError("survival must start at 1 (log value 0)")
-        if np.any(np.diff(log_values) >= 0):
+        if not np.all(np.diff(log_values) < 0):
             raise ValueError("survival values must be strictly decreasing")
         if log_values[-1] == _NEG_INF:
             raise ValueError("zero-probability knots must be excluded")

@@ -33,7 +33,6 @@ from .fracmoment import lhs_inf_sweep, rhs_bound
 from .bounds import (
     MartingaleConditions,
     comparison_atom,
-    comparison_hull,
     tail_bound_range,
     tail_bound_range_poisson,
     tail_bound_symmetric,
@@ -378,9 +377,8 @@ def suite_dominance(seed=0, n=2, trees_per_cell=420, mc_trials=200_000):
             for cell in itertools.product(grid, repeat=depth):
                 cond = make_cond(np.array(cell))
                 S = iid_sum_survival(comparison_atom(cond), depth)
-                hull = log_concave_hull(S)
                 xs = np.sort(np.concatenate([S.knots, 0.5 * (S.knots[:-1] + S.knots[1:])]))
-                bound = np.array([bound_fn(cond, x, hull=hull).value for x in xs])
+                bound = np.array([bound_fn(cond, x).value for x in xs])
                 # one row of node scales per tree, breadth-first
                 scales = rng.uniform(0.02, 1.0, (per_cell, 2**depth - 1, 2))
                 tails = _path_tails(*_two_point_paths(*_two_point_nodes(cond, scales)), xs)
@@ -414,20 +412,17 @@ def monte_carlo_dominance_rows(seed=0, trials=1_000_000, n=100, xs=(2.0, 5.0, 10
     cond_var = MartingaleConditions.one_sided_variance(b, np.full(n, var))
     cond_rng = MartingaleConditions.range_condition(np.full(n, 0.5))
     cond_sym = MartingaleConditions.per_k(np.full(n, b), np.full(n, var))
-    hull_var = comparison_hull(cond_var)
-    hull_rng = comparison_hull(cond_rng)
-    hull_sym = comparison_hull(cond_sym)
 
     rows = []
     for x in xs:
         estimate, se = monte_carlo_tail(sampler, trials, x, seed=seed)
         upper = estimate + 4.0 * se
         bounds = {
-            "variance": tail_bound_variance(cond_var, x, hull=hull_var).value,
+            "variance": tail_bound_variance(cond_var, x).value,
             "variance_poisson": tail_bound_variance_poisson(cond_var, x).value,
-            "range": tail_bound_range(cond_rng, x, hull=hull_rng).value,
+            "range": tail_bound_range(cond_rng, x).value,
             "range_poisson": tail_bound_range_poisson(cond_rng, x).value,
-            "symmetric": tail_bound_symmetric(cond_sym, x, hull=hull_sym).value,
+            "symmetric": tail_bound_symmetric(cond_sym, x).value,
             "symmetric_gaussian": tail_bound_symmetric_gaussian(cond_sym, x).value,
         }
         for name, bound in bounds.items():

@@ -4,7 +4,9 @@ Every extremal claim behind the bounds gets a computational check at desk
 scale: exact tail enumeration over small martingale trees, worst-case
 searches against the theorem bounds, the n = 1 worst-constant search, Schur
 and convex-domination property runs, convolution log-concavity, product-bound
-optimality, the hull-necessity ratio, and the Poisson limit step. The single
+optimality, the hull-necessity ratio, and the Poisson limit step. One array
+engine enumerates batches of two-point trees, breadth-first node arrays, for
+the worst-case searches, the dominance suite and the Schur check. The single
 most important property: no search, enumeration, or Monte Carlo run (within
 its standard-error slack) may ever exceed an applicable bound.
 """
@@ -18,8 +20,6 @@ from .distributions import (
     DiscreteDist,
     TwoPointDist,
     binomial_log_survival,
-    convolve,
-    iid_sum_dist,
     poisson_survival,
     two_point_from_range,
     two_point_from_variance,
@@ -81,10 +81,12 @@ class TreeNode:
         object.__setattr__(self, "probs", probs)
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
             raise ValueError("values and probs must be matching nonempty 1-D arrays")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("probs must be nonnegative and sum to 1")
         scale = max(1.0, float(np.max(np.abs(values))))
-        if abs(float(values @ probs)) > 1e-12 * scale:
+        if not abs(float(values @ probs)) <= 1e-12 * scale:
             raise ValueError("conditional mean must vanish (martingale differences)")
         if self.children is not None and len(self.children) != values.size:
             raise ValueError("need one child per support point")
@@ -226,6 +228,11 @@ class SearchReport:
         return math.inf if self.best_tail > 0 else 0.0
 
 
+def _node_levels(n):
+    """Level of each node of a depth-n binary tree in breadth-first order."""
+    return np.floor(np.log2(np.arange(1, 2**n))).astype(int)
+
+
 def _two_point_nodes(cond, scales):
     """Extremal two-point node laws of binary trees, from per-node scales.
 
@@ -237,8 +244,7 @@ def _two_point_nodes(cond, scales):
     node values and the upper atom's probability, (..., 2**n - 1, 2) and
     (..., 2**n - 1).
     """
-    n = cond.n
-    level = np.floor(np.log2(np.arange(1, 2**n))).astype(int)
+    level = _node_levels(cond.n)
     s_lo, s_hi = scales[..., 0], scales[..., 1]
     if cond.variant == "range":
         u = -cond.ps[level] * s_lo
@@ -301,15 +307,12 @@ def worst_case_search(cond, x, budget=6000, seed=0, restarts=6):
 
     # seeded starts: full-scale atoms, plus upper atoms placed so path sums
     # hit the threshold exactly (the n = 1 extremal laws have this shape)
+    top = 1.0 - cond.ps[_node_levels(n)] if cond.variant == "range" else cond.b
     starts = [np.ones(dim)]
     for m in range(1, n + 1):
+        frac = x / m / top
         params = np.ones(dim)
-        for i in range(n_nodes):
-            level = int(math.floor(math.log2(i + 1)))
-            top = (1.0 - cond.ps[level]) if cond.variant == "range" else cond.b
-            frac = x / m / top
-            if 0.0 < frac <= 1.0:
-                params[2 * i + 1] = frac
+        params[1::2] = np.where((frac > 0.0) & (frac <= 1.0), frac, 1.0)
         starts.append(params)
     for _ in range(restarts):
         starts.append(rng.uniform(0.05, 1.0, dim))
@@ -427,38 +430,27 @@ def c1_search():
 # --- majorization and convex domination ----------------------------------------
 
 
-def _theta_dist(x_k):
-    """The atom theta(x_k, 1): {-x_k, 1} with P{1} = x_k/(1 + x_k); x_k = 0 degenerates."""
-    if x_k == 0.0:
-        return DiscreteDist.point_mass(0.0)
-    return DiscreteDist.from_two_point(two_point_from_variance(x_k, 1.0))
-
-
 def schur_check(xs, t, slack=1e-10):
     """Spreading the per-step variances can only lower E(sum - t)_+^2.
 
-    Builds the non-iid sum T_n of atoms theta(x_k, 1), the iid sum S_n at the
-    mean parameter, and compares the exact expectations. Equality holds when
-    all x_k agree.
+    Compares the non-iid sum T_n of atoms theta(x_k, 1) = {-x_k, 1} with the
+    iid sum S_n at the mean parameter, both enumerated exactly as two-point
+    trees: row 0 holds theta(x_k, 1) at every node of level k, row 1
+    theta(mean, 1) at every node. A zero x_k is a node whose upper atom has
+    probability 0. Equality holds when all x_k agree.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    t = float(t)
+    if xs.ndim != 1 or xs.size == 0 or not np.all(np.isfinite(xs)) or not math.isfinite(t):
+        raise ValueError("need a nonempty 1-D array of finite parameters and a finite t")
     if xs.size > 8:
         raise ValueError("limited to n <= 8 (exact enumeration)")
     if np.any(xs < 0.0):
         raise ValueError("parameters must be nonnegative")
-    T = _theta_dist(xs[0])
-    for x_k in xs[1:]:
-        T = convolve(T, _theta_dist(x_k))
-    a = float(np.mean(xs))
-    if a == 0.0:
-        S = DiscreteDist.point_mass(0.0)
-    else:
-        S = iid_sum_dist(two_point_from_variance(a, 1.0), xs.size)
-
-    def e_plus_sq(d):
-        return float(d.probs @ np.clip(d.support - t, 0.0, None) ** 2)
-
-    return e_plus_sq(T) <= e_plus_sq(S) + slack
+    x = np.stack([xs, np.full(xs.size, np.mean(xs))])[:, _node_levels(xs.size)]
+    sums, logps = _two_point_paths(np.stack([-x, np.ones_like(x)], axis=-1), x / (1.0 + x))
+    e_T, e_S = np.sum(np.exp(logps) * np.clip(sums - t, 0.0, None) ** 2, axis=-1)
+    return bool(e_T <= e_S + slack)
 
 
 def _plus_power_expectations(d, ts, s):

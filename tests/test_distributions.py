@@ -101,6 +101,22 @@ class TestTwoPoint:
             assert d.variance == pytest.approx(sigma2, rel=1e-12)
 
 
+class TestDiscreteDist:
+    @pytest.mark.parametrize(
+        "support, logp",
+        [
+            ([0.0, 1.0], [0.0, math.nan]),
+            ([0.0, 1.0], [0.0, math.inf]),
+            ([0.0, math.nan], [math.log(0.5), math.log(0.5)]),
+            ([0.0, math.inf], [math.log(0.5), math.log(0.5)]),
+            ([math.nan], [0.0]),
+        ],
+    )
+    def test_rejects_non_finite(self, support, logp):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            DiscreteDist(np.array(support), np.array(logp))
+
+
 class TestIidSum:
     def test_fair_half_atoms_n2(self):
         S = iid_sum_survival(two_point_from_range(-0.5, 0.5), 2)
@@ -422,6 +438,19 @@ class TestStepSurvival:
             StepSurvival(np.array([0.0, 1.0]), np.array([-0.1, -0.2]))
         with pytest.raises(ValueError):
             StepSurvival(np.array([1.0, 0.0]), np.array([0.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "knots, log_values",
+        [
+            ([0.0, 1.0], [0.0, math.nan]),
+            ([0.0, math.nan], [0.0, -1.0]),
+            ([math.nan], [0.0]),
+            ([0.0, math.inf], [0.0, -1.0]),
+        ],
+    )
+    def test_rejects_non_finite(self, knots, log_values):
+        with pytest.raises(ValueError):
+            StepSurvival(np.array(knots), np.array(log_values))
 
     def test_invisible_jumps_are_dropped(self):
         # a point carrying ~1e-40 relative mass leaves no double-precision jump

@@ -1,5 +1,6 @@
 """Tests for the exact-enumeration, search, and property-check machinery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -81,6 +82,19 @@ class TestTrees:
     def test_rejects_non_martingale_node(self):
         with pytest.raises(ValueError):
             TreeNode(np.array([-1.0, 1.0]), np.array([0.3, 0.7]))
+
+    @pytest.mark.parametrize(
+        "values, probs",
+        [
+            ([-1.0, 1.0], [0.5, math.nan]),
+            ([-1.0, 1.0], [math.nan, math.nan]),
+            ([-1.0, math.nan], [0.5, 0.5]),
+            ([-math.inf, 1.0], [0.5, 0.5]),
+        ],
+    )
+    def test_rejects_non_finite(self, values, probs):
+        with pytest.raises(ValueError):
+            TreeNode(np.array(values), np.array(probs))
 
     def test_condition_tagging(self):
         cond = MartingaleConditions.range_condition([0.5, 0.5])
@@ -323,6 +337,46 @@ class TestSchur:
             schur_check(np.array([-0.1, 0.5]), 0.0)
         with pytest.raises(ValueError):
             schur_check(np.ones(9), 0.0)
+
+    @pytest.mark.parametrize(
+        "xs, t",
+        [
+            ([], 0.0),
+            ([[0.5, 0.5]], 0.0),
+            ([0.5, math.nan], 0.0),
+            ([0.5, math.inf], 0.0),
+            ([0.5, 0.5], math.nan),
+            ([0.5, 0.5], math.inf),
+        ],
+    )
+    def test_rejects_empty_or_non_finite_input(self, xs, t):
+        with pytest.raises(ValueError):
+            schur_check(np.array(xs), t)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_verdict_matches_path_enumeration(self, n):
+        # independent oracle: a plain loop over all 2^n up/down choices, with
+        # the slack set just above and just below e_T - e_S so both verdicts occur
+        def e_plus_sq(ps, t):
+            total = 0.0
+            for ups in itertools.product((False, True), repeat=n):
+                prob, s = 1.0, 0.0
+                for up, x in zip(ups, ps):
+                    prob *= x / (1.0 + x) if up else 1.0 / (1.0 + x)
+                    s += 1.0 if up else -x
+                total += prob * max(s - t, 0.0) ** 2
+            return total
+
+        rng = np.random.default_rng(100 + n)
+        draws = [rng.uniform(0.0, 2.0, n) for _ in range(3)]
+        draws[1][rng.uniform(size=n) < 0.5] = 0.0
+        draws += [np.zeros(n), np.full(n, 0.7)]
+        for xs in draws:
+            for t in (-2.0 * n, -0.5, 0.0, 0.3, 1.0, float(rng.uniform(-n, n))):
+                e_T = e_plus_sq(xs, t)
+                e_S = e_plus_sq(np.full(n, np.mean(xs)), t)
+                for s in (e_T - e_S + 1e-9 * max(1.0, e_S), e_T - e_S - 1e-9 * max(1.0, e_S)):
+                    assert schur_check(xs, t, slack=s) == (e_T <= e_S + s)
 
 
 class TestConvexDomination:
