@@ -319,6 +319,8 @@ def hoeffding_log_H(a, p):
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    if math.isnan(a):
+        raise ValueError("a must not be NaN")
     if a <= p:
         return 0.0
     if a > 1.0 or p == 0.0:

@@ -259,12 +259,6 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        p.add_argument("--clamp", action="store_true", help="clamp raw bound columns at 1")
-
     p_bound = sub.add_parser("bound", help="bound table over thresholds")
     p_bound.add_argument("--theorem", choices=("1.1", "1.2", "1.3"), required=True)
     p_bound.add_argument("--n", type=int)
@@ -279,7 +273,7 @@ def _build_parser():
     p_bound.add_argument("--x-min", type=float, dest="x_min")
     p_bound.add_argument("--x-max", type=float, dest="x_max")
     p_bound.add_argument("--x-step", type=float, dest="x_step")
-    common(p_bound)
+    p_bound.add_argument("--clamp", action="store_true", help="clamp raw bound columns at 1")
 
     for name, helptext in (("hull", "hull knot dump"), ("lemma42", "moment-inequality margins")):
         p = sub.add_parser(name, help=helptext)
@@ -290,19 +284,20 @@ def _build_parser():
         p.add_argument("--n", type=int)
         if name == "lemma42":
             p.add_argument("--s", default="1,2,2.5,3", help="comma-separated moment orders")
-        common(p)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p_verify.add_argument("--n", type=int, default=2, help="martingale depth for the dominance suite")
-    common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
 
     p_conf = sub.add_parser("confidence", help="conservative upper confidence limit")
     p_conf.add_argument("--n", type=int, required=True)
     p_conf.add_argument("--mean", type=float, required=True)
     p_conf.add_argument("--delta", type=float, required=True)
-    common(p_conf)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     return parser
 
 

@@ -285,6 +285,8 @@ class StepSurvival:
     def log_eval(self, x):
         """log B(x); -inf above the last knot."""
         x = np.asarray(x, dtype=np.float64)
+        if np.isnan(x).any():
+            raise ValueError("threshold x must not be NaN")
         idx = np.searchsorted(self.knots, x, side="left")
         inside = idx < self.knots.size
         out = np.full(x.shape, _NEG_INF)

@@ -104,6 +104,8 @@ def lhs_inf_sweep(S, s, xs):
     if not s > 0.0:
         raise ValueError(f"s must be positive, got {s}")
     xs = np.asarray(xs, dtype=np.float64)
+    if np.isnan(xs).any():
+        raise ValueError("thresholds must not be NaN")
     knots, masses = S.knots, S.atom_masses
     gap = xs[:, None] - knots[None, :]
     below = gap > 0.0

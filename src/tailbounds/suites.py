@@ -42,11 +42,12 @@ from .bounds import (
 )
 from .verify import (
     VerificationError,
+    _domination_kernel,
     _path_tails,
+    _schur_kernel,
     _two_point_nodes,
     _two_point_paths,
     c1_search,
-    convex_domination_check,
     convolution_log_concavity_check,
     hoeffding_optimality_sequence,
     hull_necessity_ratio,
@@ -55,7 +56,6 @@ from .verify import (
     poisson_limit_check,
     random_centered_dist_bounded,
     random_centered_dist_in_range,
-    schur_check,
 )
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "monte_carlo_dominance_rows"]
@@ -251,62 +251,53 @@ def suite_lemma42(seed=0, n_max=50, p_grid=(0.1, 0.3, 0.5, 0.7), s_grid=(1.0, 2.
     return res
 
 
-def _domination_suite(name, family, seed, instances=10_000):
+def _domination_suite(name, family, seed=0, instances=10_000):
+    """Domination of random centered laws by the family's extremal atom.
+
+    lemma43: convex domination by the range atom xi(a, b); lemma44: the moment
+    family under theta(sigma2, b); lemma46: the symmetric atom theta(a^2, a)
+    with a = max{sigma, b}.
+    """
     res = SuiteResult(name)
     rng = np.random.default_rng(seed)
-    for i in range(instances):
-        if family == "convex":
-            a = -float(rng.uniform(0.05, 2.0))
-            b = float(rng.uniform(0.05, 2.0))
-            X = random_centered_dist_in_range(rng, a, b)
-            params = {"a": a, "b": b}
-        else:
-            sigma2 = float(rng.uniform(0.01, 4.0))
-            b = float(rng.uniform(0.05, 2.0))
-            X = random_centered_dist_bounded(rng, sigma2, b)
-            params = {"sigma2": sigma2, "b": b}
-        res.checks += 1
-        if not convex_domination_check(family, X, params):
-            res.fail(
-                case=family,
-                instance=i,
-                support=X.support.tolist(),
-                probs=X.probs.tolist(),
-                **params,
-            )
+    convex = family == "convex"
+    draw = random_centered_dist_in_range if convex else random_centered_dist_bounded
+    laws, params = [], []
+    for _ in range(instances):
+        first = -float(rng.uniform(0.05, 2.0)) if convex else float(rng.uniform(0.01, 4.0))
+        b = float(rng.uniform(0.05, 2.0))
+        laws.append(draw(rng, first, b))
+        params.append({"a" if convex else "sigma2": first, "b": b})
+    res.checks += instances
+    for i in np.flatnonzero(~_domination_kernel(family, laws, params, 1e-10)):
+        X = laws[i]
+        res.fail(
+            case=family, instance=int(i), support=X.support.tolist(), probs=X.probs.tolist(),
+            **params[i],
+        )
     return res
-
-
-def suite_lemma43(seed=0, instances=10_000):
-    """Convex domination by the range atom xi(a, b)."""
-    return _domination_suite("lemma43", "convex", seed, instances)
-
-
-def suite_lemma44(seed=0, instances=10_000):
-    """Moment-family domination by theta(sigma2, b)."""
-    return _domination_suite("lemma44", "moment", seed, instances)
 
 
 def suite_lemma45(seed=0, instances=10_000):
     """Schur-style spreading check for E(sum - t)_+^2."""
     res = SuiteResult("lemma45")
     rng = np.random.default_rng(seed)
+    by_n = {}
     for i in range(instances):
         n = int(rng.integers(2, 7))
         if i % 50 == 0:
             xs = np.full(n, float(rng.uniform(0.05, 2.0)))  # equality case
         else:
             xs = rng.uniform(0.0, 2.0, n)
-        t = float(rng.uniform(-2.0 * n, n + 1.0))
-        res.checks += 1
-        if not schur_check(xs, t):
-            res.fail(case="schur", instance=i, xs=xs.tolist(), t=t)
+        by_n.setdefault(n, []).append((i, xs, float(rng.uniform(-2.0 * n, n + 1.0))))
+    res.checks += instances
+    failed = []
+    for draws in by_n.values():
+        _, xs, t = zip(*draws)
+        failed += itertools.compress(draws, ~_schur_kernel(np.array(xs), np.array(t), 1e-10))
+    for i, xs, t in sorted(failed, key=lambda row: row[0]):
+        res.fail(case="schur", instance=i, xs=xs.tolist(), t=t)
     return res
-
-
-def suite_lemma46(seed=0, instances=10_000):
-    """Symmetric-atom domination with a = max{sigma, b}."""
-    return _domination_suite("lemma46", "symmetric", seed, instances)
 
 
 def suite_lemma47(seed=0):
@@ -457,10 +448,10 @@ def suite_poisson_limit(seed=0):
 _SUITES = {
     "lemma41": suite_lemma41,
     "lemma42": suite_lemma42,
-    "lemma43": suite_lemma43,
-    "lemma44": suite_lemma44,
+    "lemma43": functools.partial(_domination_suite, "lemma43", "convex"),
+    "lemma44": functools.partial(_domination_suite, "lemma44", "moment"),
     "lemma45": suite_lemma45,
-    "lemma46": suite_lemma46,
+    "lemma46": functools.partial(_domination_suite, "lemma46", "symmetric"),
     "lemma47": suite_lemma47,
     "lemma48": suite_lemma48,
     "c1": suite_c1,

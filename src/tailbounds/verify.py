@@ -21,8 +21,6 @@ from .distributions import (
     TwoPointDist,
     binomial_log_survival,
     poisson_survival,
-    two_point_from_range,
-    two_point_from_variance,
 )
 from .bounds import (
     MartingaleConditions,
@@ -187,6 +185,8 @@ def _path_tails(sums, logps, xs):
     merged order reads each tail at its threshold's position.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if np.isnan(xs).any():
+        raise ValueError("thresholds must not be NaN")
     batch = sums.shape[:-1]
     keys = np.concatenate([np.broadcast_to(xs, batch + xs.shape), sums], axis=-1)
     masses = np.concatenate([np.full(batch + xs.shape, -np.inf), logps], axis=-1)
@@ -430,14 +430,26 @@ def c1_search():
 # --- majorization and convex domination ----------------------------------------
 
 
+def _schur_kernel(xs, t, slack):
+    """``schur_check`` verdicts for rows xs (B, n) and thresholds t (B,).
+
+    Node row 0 holds theta(x_k, 1) at every node of level k, row 1
+    theta(mean, 1) at every node: one (B, 2, 2**n - 1, 2) engine call.
+    """
+    x = np.stack([xs, xs.mean(axis=-1, keepdims=True).repeat(xs.shape[-1], axis=-1)], axis=-2)
+    x = x[..., _node_levels(xs.shape[-1])]
+    sums, logps = _two_point_paths(np.stack([-x, np.ones_like(x)], axis=-1), x / (1.0 + x))
+    e = np.sum(np.exp(logps) * np.maximum(sums - t[:, None, None], 0.0) ** 2, axis=-1)
+    return e[:, 0] <= e[:, 1] + slack
+
+
 def schur_check(xs, t, slack=1e-10):
     """Spreading the per-step variances can only lower E(sum - t)_+^2.
 
     Compares the non-iid sum T_n of atoms theta(x_k, 1) = {-x_k, 1} with the
     iid sum S_n at the mean parameter, both enumerated exactly as two-point
-    trees: row 0 holds theta(x_k, 1) at every node of level k, row 1
-    theta(mean, 1) at every node. A zero x_k is a node whose upper atom has
-    probability 0. Equality holds when all x_k agree.
+    trees. A zero x_k is a node whose upper atom has probability 0. Equality
+    holds when all x_k agree.
     """
     xs = np.asarray(xs, dtype=np.float64)
     t = float(t)
@@ -447,15 +459,60 @@ def schur_check(xs, t, slack=1e-10):
         raise ValueError("limited to n <= 8 (exact enumeration)")
     if np.any(xs < 0.0):
         raise ValueError("parameters must be nonnegative")
-    x = np.stack([xs, np.full(xs.size, np.mean(xs))])[:, _node_levels(xs.size)]
-    sums, logps = _two_point_paths(np.stack([-x, np.ones_like(x)], axis=-1), x / (1.0 + x))
-    e_T, e_S = np.sum(np.exp(logps) * np.clip(sums - t, 0.0, None) ** 2, axis=-1)
-    return bool(e_T <= e_S + slack)
+    return bool(_schur_kernel(xs[None], np.array([t]), slack)[0])
 
 
-def _plus_power_expectations(d, ts, s):
-    diffs = np.clip(d.support[None, :] - np.asarray(ts)[:, None], 0.0, None)
-    return diffs**s @ d.probs
+def _domination_kernel(family, laws, params, slack):
+    """``convex_domination_check`` verdicts for a batch of laws and ``params`` dicts."""
+    if family not in ("convex", "moment", "symmetric"):
+        raise ValueError(f"unknown family {family!r}")
+    # a centered law's support brackets 0, so padding with value 0 and mass 0 is inert
+    support, probs = np.zeros((2, len(laws), max((X.support.size for X in laws), default=1)))
+    for i, X in enumerate(laws):
+        support[i, : X.support.size] = X.support
+        probs[i, : X.support.size] = X.probs
+    scale = np.maximum(1.0, np.abs(support).max(axis=-1))
+    if (np.abs((support * probs).sum(axis=-1)) > 1e-12 * scale).any():
+        raise ValueError("X must be centered")
+    b = np.array([p["b"] for p in params], dtype=np.float64)
+    if family == "convex":
+        a = np.array([p["a"] for p in params], dtype=np.float64)
+        if not ((a < 0.0) & (b > 0.0)).all():
+            raise ValueError("need a < 0 < b")
+        if (support < a[:, None] - 1e-12).any() or (support > b[:, None] + 1e-12).any():
+            raise ValueError("support must lie inside [a, b]")
+        v_lo, v_hi, q = a, b, -a / (b - a)  # xi(a, b)
+        ts = np.linspace(a - 0.5 * (b - a), b + 0.25 * (b - a), 41).T
+        powers, hs = np.array([1.0]), np.array([])
+    else:
+        sigma2 = np.array([p["sigma2"] for p in params], dtype=np.float64)
+        if not ((sigma2 > 0.0) & (b > 0.0)).all():
+            raise ValueError("need sigma2 > 0 and b > 0")
+        if (support > b[:, None] + 1e-12).any():
+            raise ValueError("support must lie below b")
+        if ((probs * support**2).sum(axis=-1) > sigma2 * (1 + 1e-12) + 1e-15).any():
+            raise ValueError("second moment above sigma2")
+        # theta(sigma2, b), or the symmetric theta(a^2, a) with a = max{sigma, b}
+        h = b if family == "moment" else np.maximum(np.sqrt(sigma2), b)
+        s2 = sigma2 if family == "moment" else h * h
+        v_lo, v_hi, q = -s2 / h, h, s2 / (h * h + s2)
+        lo = np.minimum(support.min(axis=-1), v_lo)
+        hi = np.maximum(support.max(axis=-1), v_hi)
+        width = np.maximum(hi - lo, 1e-6)
+        ts = np.linspace(lo - 0.5 * width, hi + 0.25 * width, 21).T
+        powers, hs = np.array([2.0, 2.5, 3.0]), np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+
+    def expect(z, w):
+        # E (Z - t)_+^s (B, powers, T) and E exp(h Z) (B, hs) at points z, masses w
+        pos = np.maximum(z[:, None, :] - ts[:, :, None], 0.0)
+        plus = np.einsum("bstp,bp->bst", pos[:, None] ** powers[:, None, None], w)
+        return plus, np.einsum("bhp,bp->bh", np.exp(hs[:, None] * z[:, None, :]), w)
+
+    plus_X, exp_X = expect(support, probs)
+    plus_atom, exp_atom = expect(np.array([v_lo, v_hi]).T, np.array([1.0 - q, q]).T)
+    # the relative allowance applies to the exponential rows only
+    beaten = (plus_X > plus_atom + slack).any(axis=(1, 2))
+    return ~(beaten | (exp_X > exp_atom * (1 + 1e-12) + slack).any(axis=1))
 
 
 def convex_domination_check(family, X, params, slack=1e-10):
@@ -469,54 +526,7 @@ def convex_domination_check(family, X, params, slack=1e-10):
     exp(h z). Precondition violations raise; the check returns whether every
     test function is dominated.
     """
-    scale = max(1.0, float(np.max(np.abs(X.support))))
-    if abs(X.mean) > 1e-12 * scale:
-        raise ValueError("X must be centered")
-    if family == "convex":
-        a, b = params["a"], params["b"]
-        if not (a < 0.0 < b):
-            raise ValueError("need a < 0 < b")
-        if np.any(X.support < a - 1e-12) or np.any(X.support > b + 1e-12):
-            raise ValueError("support must lie inside [a, b]")
-        atom = DiscreteDist.from_two_point(two_point_from_range(a, b))
-        width = b - a
-        ts = np.linspace(a - 0.5 * width, b + 0.25 * width, 41)
-        return bool(
-            np.all(
-                _plus_power_expectations(X, ts, 1.0)
-                <= _plus_power_expectations(atom, ts, 1.0) + slack
-            )
-        )
-    if family in ("moment", "symmetric"):
-        sigma2, b = params["sigma2"], params["b"]
-        if not (sigma2 > 0.0 and b > 0.0):
-            raise ValueError("need sigma2 > 0 and b > 0")
-        if np.any(X.support > b + 1e-12):
-            raise ValueError("support must lie below b")
-        if float(X.probs @ X.support**2) > sigma2 * (1 + 1e-12) + 1e-15:
-            raise ValueError("second moment above sigma2")
-        if family == "moment":
-            atom = DiscreteDist.from_two_point(two_point_from_variance(sigma2, b))
-        else:
-            a_star = max(math.sqrt(sigma2), b)
-            atom = DiscreteDist.from_two_point(two_point_from_variance(a_star * a_star, a_star))
-        lo = min(float(X.support[0]), float(atom.support[0]))
-        hi = max(float(X.support[-1]), float(atom.support[-1]))
-        width = max(hi - lo, 1e-6)
-        ts = np.linspace(lo - 0.5 * width, hi + 0.25 * width, 21)
-        for s in (2.0, 2.5, 3.0):
-            if np.any(
-                _plus_power_expectations(X, ts, s)
-                > _plus_power_expectations(atom, ts, s) + slack
-            ):
-                return False
-        for h in (0.1, 0.5, 1.0, 2.0, 4.0):
-            if float(X.probs @ np.exp(h * X.support)) > float(
-                atom.probs @ np.exp(h * atom.support)
-            ) * (1 + 1e-12) + slack:
-                return False
-        return True
-    raise ValueError(f"unknown family {family!r}")
+    return bool(_domination_kernel(family, [X], [params], slack)[0])
 
 
 # --- log-concavity of convolutions ----------------------------------------------
@@ -640,14 +650,12 @@ def monte_carlo_tail(sampler, trials, x, seed, chunk=100_000):
     trials = int(trials)
     if trials < 10**4:
         raise ValueError("need at least 1e4 trials")
+    if math.isnan(x):
+        raise ValueError("threshold x must not be NaN")
     rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        sums = sampler(rng, size)
-        hits += int(np.count_nonzero(sums >= x))
-        done += size
+    for start in range(0, trials, chunk):
+        hits += int(np.count_nonzero(sampler(rng, min(chunk, trials - start)) >= x))
     p_hat = hits / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, se

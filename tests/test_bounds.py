@@ -128,6 +128,15 @@ class TestHoeffdingTails:
         assert hoeffding_tail_variance(5, 1.0, 1.0, 0.0) == 1.0
         assert hoeffding_tail_variance(1, 1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
 
+    def test_rejects_nan_threshold(self):
+        # a NaN threshold used to read as a zero bound, which is not conservative
+        with pytest.raises(ValueError, match="NaN"):
+            hoeffding_tail_range(10, 0.3, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            hoeffding_tail_variance(10, 0.5, 1.0, math.nan)
+        assert hoeffding_tail_range(10, 0.3, math.inf) == 0.0
+        assert hoeffding_tail_range(10, 0.3, -math.inf) == 1.0
+
     def test_variance_rescaling_invariance(self):
         for b in (0.25, 1.0, 3.0):
             lhs = hoeffding_tail_variance(7, 0.9, b, 1.3)

@@ -107,6 +107,21 @@ class TestBoundCommand:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--theorem", "1.2", "--n", "2", "--p", "0.5", "--x", "1", "--seed", "1"],
+            ["verify", "--suite", "lemma48", "--clamp"],
+            ["hull", "--p", "0.5", "--n", "2", "--seed", "1"],
+            ["confidence", "--n", "10", "--mean", "0.5", "--delta", "0.05", "--clamp"],
+        ],
+    )
+    def test_options_without_effect_are_usage_errors(self, argv):
+        # only verify takes --seed and only bound takes --clamp
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_missing_parameters_exit_2(self, capsys):
         code, _, err = run_cli(["bound", "--theorem", "1.1", "--n", "2", "--x", "1"], capsys)
         assert code == 2

@@ -421,6 +421,14 @@ class TestStepSurvival:
         assert type(S.eval(0.1)) is float and type(S.log_eval(0.1)) is float
         assert S.eval(float(S.knots[-1]) + 1.0) == 0.0
 
+    def test_rejects_nan_threshold(self):
+        S = iid_sum_survival(two_point_from_range(-0.5, 0.5), 2)
+        for x in (math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                S.eval(x)
+            with pytest.raises(ValueError, match="NaN"):
+                S.log_eval(x)
+
     def test_invariants(self):
         S = iid_sum_survival(two_point_from_variance(0.3, 0.9), 30)
         assert S.log_values[0] == 0.0

@@ -114,6 +114,13 @@ class TestInfimum:
         S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 1)
         assert lhs_inf(S, 1.0, 1.0) == pytest.approx(0.5, rel=1e-10)
 
+    def test_rejects_nan_threshold(self):
+        S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 3)
+        with pytest.raises(ValueError, match="NaN"):
+            lhs_inf(S, 2.0, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            lhs_inf_sweep(S, 2.0, [0.5, math.nan])
+
     def test_dense_grid_oracle(self):
         rng = np.random.default_rng(37)
         for _ in range(10):

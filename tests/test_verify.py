@@ -23,6 +23,7 @@ from tailbounds.verify import (
     MartingaleTree,
     SearchReport,
     TreeNode,
+    _domination_kernel,
     _path_tails,
     _paths,
     _two_point_nodes,
@@ -95,6 +96,13 @@ class TestTrees:
     def test_rejects_non_finite(self, values, probs):
         with pytest.raises(ValueError):
             TreeNode(np.array(values), np.array(probs))
+
+    def test_rejects_nan_threshold(self):
+        tree = iid_tree(two_point_from_range(-0.5, 0.5), 2)
+        with pytest.raises(ValueError, match="NaN"):
+            exact_tail_many(tree, [math.nan, 0.0])
+        # infinite thresholds keep their meaning: every path, then none
+        np.testing.assert_array_equal(exact_tail_many(tree, [-math.inf, math.inf]), [1.0, 0.0])
 
     def test_condition_tagging(self):
         cond = MartingaleConditions.range_condition([0.5, 0.5])
@@ -399,6 +407,58 @@ class TestConvexDomination:
             assert convex_domination_check("moment", X, {"sigma2": sigma2, "b": b})
             assert convex_domination_check("symmetric", X, {"sigma2": sigma2, "b": b})
 
+    @pytest.mark.parametrize("family", ["convex", "moment", "symmetric"])
+    def test_verdict_matches_reference(self, family):
+        # independent oracle: each test function's expectation summed point by
+        # point against the atom built as a DiscreteDist, with the slack set
+        # just above and just below the largest excess so both verdicts occur
+        def expect(d, f):
+            return math.fsum(p * f(z) for z, p in zip(d.support.tolist(), d.probs.tolist()))
+
+        rng = np.random.default_rng({"convex": 41, "moment": 42, "symmetric": 43}[family])
+        for _ in range(60):
+            b = float(rng.uniform(0.05, 2.0))
+            if family == "convex":
+                a = -float(rng.uniform(0.05, 2.0))
+                X, params = random_centered_dist_in_range(rng, a, b), {"a": a, "b": b}
+                atom = two_point_from_range(a, b)
+                ts = np.linspace(a - 0.5 * (b - a), b + 0.25 * (b - a), 41)
+                rows = [(lambda z, t=t: max(z - t, 0.0), 1.0) for t in ts]
+            else:
+                sigma2 = float(rng.uniform(0.01, 4.0))
+                X, params = random_centered_dist_bounded(rng, sigma2, b), {"sigma2": sigma2, "b": b}
+                h = b if family == "moment" else max(math.sqrt(sigma2), b)
+                atom = two_point_from_variance(sigma2 if family == "moment" else h * h, h)
+                lo, hi = min(X.support[0], atom.v_lo), max(X.support[-1], atom.v_hi)
+                width = max(hi - lo, 1e-6)
+                ts = np.linspace(lo - 0.5 * width, hi + 0.25 * width, 21)
+                powers = [(lambda z, t=t, s=s: max(z - t, 0.0) ** s) for s in (2.0, 2.5, 3.0) for t in ts]
+                exps = [(lambda z, h=h: math.exp(h * z)) for h in (0.1, 0.5, 1.0, 2.0, 4.0)]
+                rows = [(f, 1.0) for f in powers] + [(f, 1.0 + 1e-12) for f in exps]
+            A = DiscreteDist.from_two_point(atom)
+            excess = max(expect(X, f) - expect(A, f) * factor for f, factor in rows)
+            delta = 1e-9 * max(1.0, max(expect(A, f) for f, _ in rows))
+            assert convex_domination_check(family, X, params, slack=excess + delta)
+            assert not convex_domination_check(family, X, params, slack=excess - delta)
+
+    def test_batch_flags_exactly_the_failing_rows(self):
+        # a mean of 5e-13 is inside the 1e-12 centering tolerance but lifts the
+        # hinges left of the support 5e-13 above the atom's, beyond the slack
+        rng = np.random.default_rng(17)
+        laws, params = [], []
+        for i in range(40):
+            a, b = -float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.1, 1.5))
+            X = random_centered_dist_in_range(rng, a, b)
+            if i % 3 == 0:
+                X = DiscreteDist(X.support + 5e-13, X.logp)
+            laws.append(X)
+            params.append({"a": a, "b": b})
+        verdicts = _domination_kernel("convex", laws, params, 1e-13)
+        np.testing.assert_array_equal(verdicts, np.arange(40) % 3 != 0)
+        singles = [convex_domination_check("convex", *case, slack=1e-13) for case in zip(laws, params)]
+        np.testing.assert_array_equal(verdicts, singles)
+        assert all(_domination_kernel("convex", laws, params, 1e-10))
+
     def test_precondition_violations_raise(self):
         X = DiscreteDist.from_probs([-1.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
@@ -504,6 +564,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_tail(lambda rng, size: np.zeros(size), 100, 0.0, seed=1)
 
+    def test_rejects_nan_threshold(self):
+        sampler = iid_grid_sampler(np.array([-1.0, 1.0]), 4)
+        with pytest.raises(ValueError, match="NaN"):
+            monte_carlo_tail(sampler, 10**4, math.nan, 0)
+
 
 class TestRandomGenerators:
     def test_range_preconditions_hold(self):
@@ -539,6 +604,12 @@ class TestRunSuite:
         (res,) = run_suite("dominance", seed=0)
         assert res.checks == 111_318
         assert res.info["trees"] == 23_100
+        assert res.failures == []
+
+    @pytest.mark.parametrize("name", ["lemma43", "lemma44", "lemma45", "lemma46"])
+    def test_property_suite_counts_pinned(self, name):
+        (res,) = run_suite(name, seed=0)
+        assert res.checks == 10_000
         assert res.failures == []
 
     def test_rejects_unknown_keyword(self):
