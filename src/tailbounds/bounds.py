@@ -29,7 +29,7 @@ from .distributions import (
     iid_sum_survival,
     two_point_from_variance,
 )
-from .hull import binomial_hull_log_eval, eval_hull, log_concave_hull, poisson_hull_eval
+from .hull import binomial_hull_log_eval, log_concave_hull, log_eval_hull, poisson_hull_eval
 from .fracmoment import lhs_inf, rhs_bound
 
 __all__ = [
@@ -171,14 +171,20 @@ class MartingaleConditions:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A bound value split into its constant and hull factors."""
+    """A bound value split into its constant and hull factors.
 
-    value: float
+    ``value`` and ``hull_value`` are floats for a scalar threshold and arrays
+    for an array of thresholds.
+    """
+
+    value: float | np.ndarray
     constant: float
-    hull_value: float
+    hull_value: float | np.ndarray
 
     @property
     def clamped(self):
+        if isinstance(self.value, np.ndarray):
+            return np.minimum(1.0, self.value)
         return min(1.0, self.value)
 
 
@@ -216,9 +222,26 @@ def _lazy_hull_value(atom, n, x):
     return math.exp(binomial_hull_log_eval(n, atom.p_hi, y))
 
 
+def _is_scalar(x):
+    return isinstance(x, float) or np.ndim(x) == 0
+
+
+def _elementwise(fn, x):
+    """``fn(x)`` at a scalar threshold; at a 1-D array, ``fn`` of each element.
+
+    The per-element step stays in ``math``: numpy's exp and log1p differ from
+    math's in the last bit on some inputs, and an array call must equal the
+    scalar calls bit for bit.
+    """
+    if _is_scalar(x):
+        return fn(x)
+    return np.array([fn(v) for v in np.asarray(x, dtype=np.float64).tolist()], dtype=np.float64)
+
+
 def _check_x(x):
-    if not math.isfinite(x):
-        raise ValueError(f"threshold x must be finite, got {x}")
+    if not (math.isfinite(x) if _is_scalar(x) else np.isfinite(x).all()):
+        bad = x if _is_scalar(x) else np.asarray(x)[~np.isfinite(x)][0]
+        raise ValueError(f"threshold x must be finite, got {bad}")
 
 
 def _bound(cond, x, constant, expected_variant, hull):
@@ -226,9 +249,11 @@ def _bound(cond, x, constant, expected_variant, hull):
     if cond.variant not in expected_variant:
         raise ValueError(f"bound requires variant in {expected_variant}, got {cond.variant!r}")
     if hull is None:
-        hv = _lazy_hull_value(comparison_atom(cond), cond.n, x)
+        atom = comparison_atom(cond)
+        hv = _elementwise(lambda v: _lazy_hull_value(atom, cond.n, v), x)
     else:
-        hv = eval_hull(hull, x)
+        # the interpolation runs once over all thresholds; exp per element
+        hv = _elementwise(math.exp, log_eval_hull(hull, x))
     return BoundResult(value=constant * hv, constant=constant, hull_value=hv)
 
 
@@ -237,8 +262,10 @@ def tail_bound_variance(cond, x, hull=None):
 
     Without ``hull`` B0(x) is evaluated lazily from two binomial tails; pass
     ``comparison_hull(cond)`` to read it off the materialized hull instead,
-    which pays off over many thresholds. The same holds for the range and
-    symmetric bounds.
+    which pays off over many thresholds. ``x`` is a threshold or a 1-D array
+    of thresholds; an array gives a ``BoundResult`` of arrays, equal bit for
+    bit to the scalar calls. The same holds for every bound, coarsening and
+    Hoeffding tail below.
     """
     return _bound(cond, x, VARIANCE_CONST, ("one_sided_variance",), hull)
 
@@ -253,7 +280,7 @@ def tail_bound_variance_poisson(cond, x):
     if cond.variant != "one_sided_variance":
         raise ValueError(f"poisson coarsening requires one_sided_variance, got {cond.variant!r}")
     lam = float(np.sum(cond.sigma2s)) / cond.b**2
-    hv = poisson_hull_eval(lam, lam + x / cond.b)
+    hv = _elementwise(lambda v: poisson_hull_eval(lam, lam + v / cond.b), x)
     return BoundResult(value=VARIANCE_CONST * hv, constant=VARIANCE_CONST, hull_value=hv)
 
 
@@ -279,7 +306,7 @@ def tail_bound_range_poisson(cond, x):
     if not 0.0 < p < 1.0:
         raise ValueError(f"mean p must lie strictly inside (0,1), got {p}")
     lam = p * cond.n / (1.0 - p)
-    hv = poisson_hull_eval(lam, lam + x / (1.0 - p))
+    hv = _elementwise(lambda v: poisson_hull_eval(lam, lam + v / (1.0 - p)), x)
     return BoundResult(value=RANGE_POISSON_CONST * hv, constant=RANGE_POISSON_CONST, hull_value=hv)
 
 
@@ -304,7 +331,7 @@ def tail_bound_symmetric_gaussian(cond, x):
     if cond.variant not in ("per_k", "symmetric"):
         raise ValueError(f"gaussian coarsening requires per_k or symmetric, got {cond.variant!r}")
     scale = math.sqrt(cond.n * cond.a2)
-    hv = gaussian_survival(x / scale)
+    hv = _elementwise(lambda v: gaussian_survival(v / scale), x)
     return BoundResult(value=SYMMETRIC_CONST * hv, constant=SYMMETRIC_CONST, hull_value=hv)
 
 
@@ -331,16 +358,19 @@ def hoeffding_log_H(a, p):
 
 
 def hoeffding_H(a, p):
+    return _hoeffding_power(1, a, p)
+
+
+def _hoeffding_power(n, a, p):
     logv = hoeffding_log_H(a, p)
-    return math.exp(logv) if logv > float("-inf") else 0.0
+    return math.exp(n * logv) if logv > float("-inf") else 0.0
 
 
 def hoeffding_tail_range(n, p, x):
     """Product bound H^n(p + x/n; p) under the range condition at common p."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0,1), got {p}")
-    logv = hoeffding_log_H(p + x / n, p)
-    return math.exp(n * logv) if logv > float("-inf") else 0.0
+    return _elementwise(lambda v: _hoeffding_power(n, p + v / n, p), x)
 
 
 def hoeffding_tail_variance(n, sigma2, b, x):
@@ -355,9 +385,8 @@ def hoeffding_tail_variance(n, sigma2, b, x):
     if not b > 0.0:
         raise ValueError(f"b must be positive, got {b}")
     s2 = sigma2 / (b * b)
-    xs = x / b
-    logv = hoeffding_log_H((s2 + xs / n) / (1.0 + s2), s2 / (1.0 + s2))
-    return math.exp(n * logv) if logv > float("-inf") else 0.0
+    p = s2 / (1.0 + s2)
+    return _elementwise(lambda v: _hoeffding_power(n, (s2 + v / b / n) / (1.0 + s2), p), x)
 
 
 # --- explicit moment bounds ---------------------------------------------------

@@ -7,6 +7,7 @@ digits so doubles round-trip; JSON uses the shortest round-trip form.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -74,16 +75,21 @@ def _parse_atoms(text):
 
 def _resolve_xs(args):
     if args.x is not None:
-        return [args.x]
+        return np.array([args.x])
     if args.x_min is None or args.x_max is None or args.x_step is None:
         raise ValueError("give either --x or all of --x-min/--x-max/--x-step")
     lo, hi, step = args.x_min, args.x_max, args.x_step
+    for flag, value in (("--x-min", lo), ("--x-max", hi), ("--x-step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if step <= 0 or hi < lo:
         raise ValueError("need x-min <= x-max and a positive step")
     count = (hi - lo) / step
+    if not math.isfinite(count):
+        raise ValueError(f"--x-step {step} gives a non-finite number of steps over [{lo}, {hi}]")
     if abs(count - round(count)) > 1e-9:
         print("warning: step does not divide the range; last point clamped", file=sys.stderr)
-    xs = list(np.arange(lo, hi + step * 1e-9, step))
+    xs = np.arange(lo, hi + step * 1e-9, step)
     if xs[-1] > hi:
         xs[-1] = hi
     return xs
@@ -93,7 +99,10 @@ def _per_k(args, name, scalar, n):
     """Resolve a per-step list from --<name>s or a repeated scalar."""
     lst = getattr(args, name + "s", None)
     if lst is not None:
-        return np.array(_parse_floats(lst))
+        values = np.array(_parse_floats(lst))
+        if n is not None and values.size != n:
+            raise ValueError(f"--{name}s has {values.size} entries but --n is {n}")
+        return values
     if scalar is None:
         raise ValueError(f"--{name} or --{name}s is required for this theorem")
     if n is None:
@@ -121,7 +130,6 @@ def _dist_from_args(args):
 def _cmd_bound(args):
     xs = _resolve_xs(args)
     theorem = args.theorem
-    rows = []
     if theorem == "1.2":
         ps = _per_k(args, "p", args.p, args.n)
         cond = MartingaleConditions.range_condition(ps)
@@ -136,51 +144,45 @@ def _cmd_bound(args):
             sigma2s = _per_k(args, "sigma2", args.sigma2, args.n)
             cond = MartingaleConditions.per_k(bs, sigma2s)
         elif args.bs is not None:
-            cond = MartingaleConditions.symmetric(np.array(_parse_floats(args.bs)))
+            cond = MartingaleConditions.symmetric(_per_k(args, "b", None, args.n))
         else:
             if args.a is None:
                 raise ValueError("--a (or --bs, or --sigma2s with --bs) is required for theorem 1.3")
             cond = MartingaleConditions.symmetric(np.full(int(args.n), float(args.a)))
     S = iid_sum_survival(comparison_atom(cond), cond.n)
     hull = log_concave_hull(S)
-    for x in xs:
-        if theorem == "1.1":
-            res = tail_bound_variance(cond, x, hull=hull)
-            coarse = tail_bound_variance_poisson(cond, x)
-            hoeff = hoeffding_tail_variance(cond.n, cond.mean_sigma2, cond.b, x)
-        elif theorem == "1.2":
-            res = tail_bound_range(cond, x, hull=hull)
-            coarse = tail_bound_range_poisson(cond, x)
-            hoeff = hoeffding_tail_range(cond.n, cond.mean_p, x)
-        else:
-            res = tail_bound_symmetric(cond, x, hull=hull)
-            coarse = tail_bound_symmetric_gaussian(cond, x)
-            hoeff = None
-        raw = res.clamped if args.clamp else res.value
-        coarse_raw = coarse.clamped if args.clamp else coarse.value
-        rows.append(
-            {
-                "theorem": theorem,
-                "x": float(x),
-                "exact": S.eval(x),
-                "hull_value": res.hull_value,
-                "envelope": linear_envelope_eval(S, x),
-                "hoeffding": hoeff,
-                "constant": res.constant,
-                "raw": raw,
-                "clamped": res.clamped,
-                "coarse_constant": coarse.constant,
-                "coarse_hull": coarse.hull_value,
-                "coarse_raw": coarse_raw,
-                "coarse_clamped": coarse.clamped,
-            }
-        )
-    columns = [
-        "theorem", "x", "exact", "hull_value", "envelope", "hoeffding",
-        "constant", "raw", "clamped", "coarse_constant", "coarse_hull",
-        "coarse_raw", "coarse_clamped",
-    ]
-    _emit(rows, columns, args.format, args.out)
+    # one call per column over all thresholds
+    if theorem == "1.1":
+        res = tail_bound_variance(cond, xs, hull=hull)
+        coarse = tail_bound_variance_poisson(cond, xs)
+        hoeff = hoeffding_tail_variance(cond.n, cond.mean_sigma2, cond.b, xs)
+    elif theorem == "1.2":
+        res = tail_bound_range(cond, xs, hull=hull)
+        coarse = tail_bound_range_poisson(cond, xs)
+        hoeff = hoeffding_tail_range(cond.n, cond.mean_p, xs)
+    else:
+        res = tail_bound_symmetric(cond, xs, hull=hull)
+        coarse = tail_bound_symmetric_gaussian(cond, xs)
+        hoeff = [None] * xs.size
+    columns = {
+        "theorem": [theorem] * xs.size,
+        "x": xs,
+        "exact": S.eval(xs),
+        "hull_value": res.hull_value,
+        "envelope": linear_envelope_eval(S, xs),
+        "hoeffding": hoeff,
+        "constant": [res.constant] * xs.size,
+        "raw": res.clamped if args.clamp else res.value,
+        "clamped": res.clamped,
+        "coarse_constant": [coarse.constant] * xs.size,
+        "coarse_hull": coarse.hull_value,
+        "coarse_raw": coarse.clamped if args.clamp else coarse.value,
+        "coarse_clamped": coarse.clamped,
+    }
+    # tolist gives Python floats, which print as the scalar calls' floats did
+    cells = [np.asarray(c).tolist() for c in columns.values()]
+    rows = [dict(zip(columns, row)) for row in zip(*cells)]
+    _emit(rows, list(columns), args.format, args.out)
     return 0
 
 
@@ -252,6 +254,7 @@ def _cmd_confidence(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tailbounds",

@@ -369,7 +369,7 @@ def suite_dominance(seed=0, n=2, trees_per_cell=420, mc_trials=200_000):
                 cond = make_cond(np.array(cell))
                 S = iid_sum_survival(comparison_atom(cond), depth)
                 xs = np.sort(np.concatenate([S.knots, 0.5 * (S.knots[:-1] + S.knots[1:])]))
-                bound = np.array([bound_fn(cond, x).value for x in xs])
+                bound = bound_fn(cond, xs).value
                 # one row of node scales per tree, breadth-first
                 scales = rng.uniform(0.02, 1.0, (per_cell, 2**depth - 1, 2))
                 tails = _path_tails(*_two_point_paths(*_two_point_nodes(cond, scales)), xs)

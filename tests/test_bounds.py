@@ -562,3 +562,92 @@ class TestNonFiniteInput:
         for bound in (tail_bound_symmetric, tail_bound_symmetric_gaussian):
             with pytest.raises(ValueError):
                 bound(sym, math.nan)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _random_conditions(rng):
+    """One conditions object per variant, with per-step parameters drawn at random."""
+    n = int(rng.integers(1, 40))
+    return (
+        MartingaleConditions.one_sided_variance(rng.uniform(0.3, 2.0), rng.uniform(0.05, 1.5, n)),
+        MartingaleConditions.range_condition(rng.uniform(0.05, 0.95, n)),
+        MartingaleConditions.per_k(rng.uniform(0.3, 2.0, n), rng.uniform(0.05, 1.5, n)),
+        MartingaleConditions.symmetric(rng.uniform(0.25, 2.0, n)),
+    )
+
+
+def _random_thresholds(rng, S):
+    """Thresholds below, between, on and past the comparison sum's knots."""
+    lo, hi = S.knots[0], S.knots[-1]
+    span = hi - lo
+    return np.concatenate([
+        rng.uniform(lo - 0.5 * span, hi + 0.5 * span, 25),
+        rng.choice(S.knots, min(S.knots.size, 8)),
+        [lo - 1.0, 0.0, hi, hi + 1e-9, hi + 1.0],
+    ])
+
+
+class TestArrayThresholds:
+    """An array of thresholds equals the list of scalar calls, bit for bit."""
+
+    BOUNDS = {
+        "one_sided_variance": (tail_bound_variance, tail_bound_variance_poisson),
+        "range": (tail_bound_range, tail_bound_range_poisson),
+        "per_k": (tail_bound_symmetric, tail_bound_symmetric_gaussian),
+        "symmetric": (tail_bound_symmetric, tail_bound_symmetric_gaussian),
+    }
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bounds_equal_scalar_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        for cond in _random_conditions(rng):
+            S = iid_sum_survival(comparison_atom(cond), cond.n)
+            xs = _random_thresholds(rng, S)
+            bound, coarse = self.BOUNDS[cond.variant]
+            hull = log_concave_hull(S)
+            calls = [
+                (lambda x: bound(cond, x), "lazy"),
+                (lambda x: bound(cond, x, hull=hull), "hull"),
+                (lambda x: coarse(cond, x), "coarse"),
+            ]
+            for call, label in calls:
+                arr = call(xs)
+                scalars = [call(float(x)) for x in xs]
+                assert isinstance(arr.value, np.ndarray), label
+                assert all(isinstance(r.value, float) for r in scalars), label
+                assert _bits(arr.value) == _bits([r.value for r in scalars]), (cond.variant, label)
+                assert _bits(arr.hull_value) == _bits([r.hull_value for r in scalars]), label
+                assert _bits(arr.clamped) == _bits([r.clamped for r in scalars]), label
+                assert arr.constant == scalars[0].constant
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hoeffding_tails_equal_scalar_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        p, sigma2, b = rng.uniform(0.02, 0.98), rng.uniform(0.05, 2.0), rng.uniform(0.3, 2.0)
+        edges = [0.0, n * (1.0 - p), n * b, math.inf]
+        xs = np.concatenate([rng.uniform(-5.0, 1.2 * n * b, 40), edges])
+        for call in (lambda x: hoeffding_tail_range(n, p, x),
+                     lambda x: hoeffding_tail_variance(n, sigma2, b, x)):
+            arr = call(xs)
+            assert _bits(arr) == _bits([call(float(x)) for x in xs])
+            assert isinstance(call(float(xs[0])), float)
+
+    def test_lists_and_empty_arrays(self):
+        cond = MartingaleConditions.range_condition([0.3, 0.4, 0.2])
+        res = tail_bound_range(cond, [0.1, 0.5])
+        scalars = [tail_bound_range(cond, x).value for x in (0.1, 0.5)]
+        assert _bits(res.value) == _bits(scalars)
+        assert tail_bound_range_poisson(cond, np.array([])).value.shape == (0,)
+
+    def test_every_element_must_be_finite(self):
+        cond = MartingaleConditions.range_condition(np.full(5, 0.3))
+        for bad in (math.nan, math.inf, -math.inf):
+            for bound in (tail_bound_range, tail_bound_range_poisson):
+                with pytest.raises(ValueError, match="finite"):
+                    bound(cond, np.array([0.5, bad, 1.0]))
+        with pytest.raises(ValueError):
+            hoeffding_tail_range(5, 0.3, np.array([0.5, math.nan]))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -126,6 +127,80 @@ class TestBoundCommand:
         code, _, err = run_cli(["bound", "--theorem", "1.1", "--n", "2", "--x", "1"], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "grid, flag",
+        [
+            (["--x-min", "0", "--x-max", "inf", "--x-step", "0.5"], "--x-max"),
+            (["--x-min=-inf", "--x-max", "1", "--x-step", "0.5"], "--x-min"),
+            (["--x-min", "nan", "--x-max", "1", "--x-step", "0.5"], "--x-min"),
+            (["--x-min", "0", "--x-max", "1", "--x-step", "nan"], "--x-step"),
+            (["--x-min", "0", "--x-max", "1e300", "--x-step", "1e-300"], "--x-step"),
+            (["--x-min=-1e308", "--x-max", "1e308", "--x-step", "1"], "--x-step"),
+        ],
+    )
+    def test_non_finite_grid_exit_2(self, grid, flag, capsys):
+        argv = ["bound", "--theorem", "1.2", "--n", "5", "--p", "0.3", *grid]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["--theorem", "1.2", "--ps", "0.3,0.2"],
+            ["--theorem", "1.1", "--b", "1", "--sigma2s", "0.3,0.2,0.4"],
+            ["--theorem", "1.3", "--bs", "1,0.5"],
+            ["--theorem", "1.3", "--bs", "1,0.5,1,1,1", "--sigma2s", "0.3,0.2"],
+            ["--theorem", "1.3", "--a", "1", "--sigma2s", "0.3,0.2"],
+        ],
+    )
+    def test_per_step_list_must_match_n(self, params, capsys):
+        code, out, err = run_cli(["bound", "--n", "5", *params, "--x", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--n is 5" in err
+
+    def test_per_step_list_of_length_n(self, capsys):
+        argv = ["bound", "--theorem", "1.2", "--n", "2", "--ps", "0.3,0.2", "--x", "1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(parse_csv(out)) == 1
+
+
+# stdout of `tailbounds bound` before the bound layer took threshold arrays;
+# each grid has thresholds below the support, on knots and past the top knot
+GOLDEN = {
+    "bound_t11.csv": ["--theorem", "1.1", "--n", "5", "--sigma2", "1", "--b", "1",
+                      "--x-min", "-6", "--x-max", "6", "--x-step", "0.5"],
+    "bound_t12.csv": ["--theorem", "1.2", "--n", "8", "--p", "0.25",
+                      "--x-min", "-3", "--x-max", "7", "--x-step", "0.5"],
+    "bound_t13.csv": ["--theorem", "1.3", "--n", "4", "--a", "1",
+                      "--x-min", "-5", "--x-max", "5", "--x-step", "0.5"],
+    "bound_t12_n200.csv": ["--theorem", "1.2", "--n", "200", "--p", "0.37",
+                           "--x-min", "-5", "--x-max", "130", "--x-step", "2.5"],
+    "bound_t11_clamp.csv": ["--theorem", "1.1", "--n", "6", "--sigma2", "0.75", "--b", "1.5",
+                            "--x-min", "-4", "--x-max", "10", "--x-step", "0.5", "--clamp"],
+    "bound_t13_json.json": ["--theorem", "1.3", "--n", "3", "--a", "0.5",
+                            "--x-min", "-2", "--x-max", "2", "--x-step", "0.25", "--format", "json"],
+    "bound_t12_ps.csv": ["--theorem", "1.2", "--ps", "0.1,0.3,0.2,0.4",
+                         "--x-min", "-2", "--x-max", "5", "--x-step", "0.5"],
+    "bound_t11_sigma2s.csv": ["--theorem", "1.1", "--sigma2s", "0.5,1,1.5", "--b", "1",
+                              "--x-min", "-4", "--x-max", "4", "--x-step", "0.5"],
+    "bound_t13_bs.csv": ["--theorem", "1.3", "--bs", "1.5,0.5",
+                         "--x-min", "-3", "--x-max", "3", "--x-step", "0.25"],
+    "bound_t13_per_k.csv": ["--theorem", "1.3", "--bs", "1,0.5", "--sigma2s", "0.25,1",
+                            "--x-min", "-3", "--x-max", "3", "--x-step", "0.5"],
+}
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bound_stdout_matches_golden_file(name, capsys):
+    code, out, _ = run_cli(["bound", *GOLDEN[name]], capsys)
+    assert code == 0
+    assert out.encode() == (DATA / name).read_bytes()
 
 
 class TestHullCommand:
