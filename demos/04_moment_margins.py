@@ -11,41 +11,28 @@ ones; the margin (lhs - rhs) must never be positive.
 
 import numpy as np
 
-from tailbounds import (
-    iid_sum_survival,
-    lhs_inf_sweep,
-    log_concave_hull,
-    moment_constant,
-    rhs_bound,
-    two_point_from_variance,
-)
+from tailbounds import iid_sum_survival, margin_sweep, moment_constant, two_point_from_variance
 
+s_grid = (1.0, 2.0, 2.5, 3.0)
 print("moment-order constants: ", end="")
-print(", ".join(f"s={s}: {moment_constant(s):.6f}" for s in (1.0, 2.0, 2.5, 3.0)))
+print(", ".join(f"s={s}: {moment_constant(s):.6f}" for s in s_grid))
 
 S = iid_sum_survival(two_point_from_variance(0.21, 0.7), 12)
-h = log_concave_hull(S)
-mids = 0.5 * (S.knots[:-1] + S.knots[1:])
-xs = np.sort(np.concatenate([S.knots[1:], mids]))
+xs, lhs, rhs = margin_sweep(S, s_grid)
 
 print(f"\ninstance: 12 iid atoms eps(0.21, 0.7); {xs.size} thresholds\n")
 print("s      worst margin      tightest x   lhs there      rhs there")
-for s in (1.0, 2.0, 2.5, 3.0):
-    lhs = lhs_inf_sweep(S, s, xs)
-    rhs = np.array([rhs_bound(h, s, float(x)) for x in xs])
-    margins = lhs - rhs
+for s, lv, rv in zip(s_grid, lhs, rhs):
+    margins = lv - rv
     i = int(np.argmax(margins))
     print(
         f"{s:<5}  {margins[i]:+.3e}     {xs[i]:+.4f}     "
-        f"{lhs[i]:.6e}   {rhs[i]:.6e}"
+        f"{lv[i]:.6e}   {rv[i]:.6e}"
     )
 
 print("\nthe infimum is loosest (ratio nearest 1) where the hull is locally")
 print("log-linear and the minimizing t sits at the proof's witness, one")
 print("slope-unit of s below x:")
-s = 2.0
-lhs = lhs_inf_sweep(S, s, xs)
-rhs = np.array([rhs_bound(h, s, float(x)) for x in xs])
-ratios = lhs / rhs
+ratios = lhs[1] / rhs[1]  # s = 2
 j = int(np.argmax(ratios))
 print(f"max ratio lhs/rhs = {ratios[j]:.4f} at x = {xs[j]:+.4f} (never above 1)")

@@ -35,6 +35,7 @@ from .fracmoment import (
     FractionalMomentQuery,
     lhs_inf,
     lhs_inf_sweep,
+    margin_sweep,
     moment_constant,
     rhs_bound,
     step_integral_moment,

@@ -30,7 +30,7 @@ from .distributions import (
     two_point_from_variance,
 )
 from .hull import binomial_hull_log_eval, log_concave_hull, log_eval_hull, poisson_hull_eval
-from .fracmoment import lhs_inf, rhs_bound
+from .fracmoment import MARGIN_TOL, lhs_inf, rhs_bound
 
 __all__ = [
     "RANGE_CONST",
@@ -494,7 +494,7 @@ def fractional_moment_bound(T, s, x):
     S = T.survival()
     optimized = lhs_inf(S, s, x)
     hull_form = rhs_bound(log_concave_hull(S), s, x)
-    if optimized > hull_form + 1e-9:
+    if optimized > hull_form + MARGIN_TOL:
         raise RuntimeError(
             f"optimized moment bound {optimized} exceeds hull form {hull_form}"
         )
@@ -585,7 +585,7 @@ def _confidence_bound(n, mu, sample_mean):
     return RANGE_CONST * _lazy_hull_value(_range_atom(p), n, n * (1.0 - p - sample_mean))
 
 
-def invert_for_confidence(n, sample_mean, delta, tol=1e-9):
+def invert_for_confidence(n, sample_mean, delta):
     """Conservative level-(1 - delta) upper confidence limit for a bounded mean.
 
     For iid observations in [0, 1] with sample mean ``sample_mean``, returns
@@ -623,7 +623,7 @@ def invert_for_confidence(n, sample_mean, delta, tol=1e-9):
     if vals[0] < delta:
         return float(sample_mean)
     lo = sample_mean
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if bound(mid) >= delta:
             lo = mid

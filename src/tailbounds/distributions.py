@@ -428,7 +428,7 @@ def _binomial_log_pmf(n, p, k):
     )
 
 
-def _beta_cf(a, b, x, accuracy=1e-15, max_iter=100_000):
+def _beta_cf(a, b, x, max_iter=100_000):
     """Continued fraction for I_x(a, b) a B(a, b) / (x^a (1-x)^b), by Lentz's method.
 
     Converges fast for x < (a + 1)/(a + b + 2); near that point it takes about
@@ -462,7 +462,7 @@ def _beta_cf(a, b, x, accuracy=1e-15, max_iter=100_000):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < accuracy:
+        if abs(delta - 1.0) < 1e-15:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
 

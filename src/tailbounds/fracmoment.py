@@ -6,8 +6,8 @@ For a step survival B and s > 0, the integral
 
 has an exact segment-by-segment closed form. Minimizing (x - t)^(-s) I_s(t)
 over t < x and comparing against e^s s^-s Gamma(s+1) B0(x) is the device that
-turns plain Chebyshev-type bounds into hull-dominated ones; the margin between
-the two sides is what the lemma42 verification suite sweeps. The infimum is
+turns plain Chebyshev-type bounds into hull-dominated ones; ``margin_sweep``
+reads the margin between the two sides on a threshold grid. The infimum is
 the optimal moment comparison of Pinelis (1998): in u = 1/(x - t) the
 objective is piecewise concave for s <= 1 and convex for s >= 1, so it is
 solved exactly from its breakpoints and, for s > 1, one root of its
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hull import eval_hull
+from .hull import eval_hull, log_concave_hull
 
 __all__ = [
     "FractionalMomentQuery",
@@ -28,7 +28,12 @@ __all__ = [
     "lhs_inf_sweep",
     "rhs_bound",
     "moment_constant",
+    "margin_sweep",
+    "MARGIN_TOL",
 ]
+
+# A margin lhs - rhs above this counts as a violation of the inequality.
+MARGIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -178,5 +183,18 @@ def moment_constant(s):
 
 
 def rhs_bound(h, s, x):
-    """Hull side of the fractional-moment inequality: ``moment_constant(s) * B0(x)``."""
+    """Hull side ``moment_constant(s) * B0(x)`` at a threshold or a threshold array."""
     return moment_constant(s) * eval_hull(h, x)
+
+
+def margin_sweep(S, s_values):
+    """Both sides of the inequality at every knot above the first and every midpoint.
+
+    Returns the sorted thresholds ``xs`` and arrays ``lhs``, ``rhs`` with one
+    row per moment order in ``s_values``.
+    """
+    h = log_concave_hull(S)
+    xs = np.sort(np.concatenate([S.knots[1:], 0.5 * (S.knots[:-1] + S.knots[1:])]))
+    lhs = np.array([lhs_inf_sweep(S, s, xs) for s in s_values])
+    rhs = np.array([rhs_bound(h, s, xs) for s in s_values])
+    return xs, lhs, rhs

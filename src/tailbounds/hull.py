@@ -101,12 +101,9 @@ def log_eval_hull(h, x):
 
 
 def eval_hull(h, x):
-    """B0(x) = exp of the piecewise-linear interpolation of -log B0."""
-    logv = log_eval_hull(h, x)
-    if np.ndim(logv) == 0:
-        return math.exp(logv) if logv != -math.inf else 0.0
-    with np.errstate(over="ignore"):
-        return np.exp(logv)
+    """B0(x) = exp of the interpolated -log B0; arrays and scalars agree bit for bit."""
+    out = np.exp(log_eval_hull(h, x))
+    return float(out) if out.ndim == 0 else out
 
 
 def linear_envelope_eval(S, x):
@@ -125,8 +122,8 @@ def linear_envelope_eval(S, x):
     return out
 
 
-def is_log_concave_discrete(S, slack=1e-12):
-    """Whether every knot of ``S`` lies on its own lower convex hull.
+def is_log_concave_discrete(S):
+    """Whether every knot of ``S`` lies on its own lower convex hull, up to the convexity slack.
 
     This is discrete log-concavity: -log B restricted to the jump points is
     convex (equivalently B(x_i)^2 >= B(x_{i-1}) B(x_{i+1}) on equally spaced
@@ -134,7 +131,7 @@ def is_log_concave_discrete(S, slack=1e-12):
     """
     h = log_concave_hull(S)
     hull_y = np.interp(S.knots, h.knots, h.neg_log)
-    return bool(np.all((-S.log_values) - hull_y <= slack))
+    return bool(np.all((-S.log_values) - hull_y <= _CONVEXITY_SLACK))
 
 
 def _interpolate_integer_log_survival(log_survival, y):

@@ -29,7 +29,7 @@ from .hull import (
     log_concave_hull,
     log_eval_hull,
 )
-from .fracmoment import lhs_inf_sweep, rhs_bound
+from .fracmoment import MARGIN_TOL, margin_sweep
 from .bounds import (
     MartingaleConditions,
     comparison_atom,
@@ -93,24 +93,24 @@ class SuiteResult:
         self.failures.append(row)
 
 
-def _random_survival(rng, max_points=8, lo=-3.0, hi=3.0):
-    k = int(rng.integers(2, max_points + 1))
-    pts = np.sort(rng.uniform(lo, hi, k))
+def _random_survival(rng):
+    k = int(rng.integers(2, 9))  # 2 to 8 points in [-3, 3]
+    pts = np.sort(rng.uniform(-3.0, 3.0, k))
     keep = np.concatenate(([True], np.diff(pts) > 1e-6))
     pts = pts[keep]
     probs = rng.dirichlet(np.ones(pts.size))
     return DiscreteDist.from_probs(pts, probs).survival()
 
 
-def _random_log_concave_seq(rng, max_len=8):
-    k = int(rng.integers(2, max_len + 1))
+def _random_log_concave_seq(rng):
+    k = int(rng.integers(2, 9))
     increments = np.sort(rng.normal(0.0, 1.5, k))[::-1]
     return np.exp(np.cumsum(increments))
 
 
-def _random_log_concave_survival(rng, max_points=8):
+def _random_log_concave_survival(rng):
     """Survival whose -log values are convex over the knots by construction."""
-    k = int(rng.integers(2, max_points + 1))
+    k = int(rng.integers(2, 9))
     knots = np.sort(rng.uniform(-3.0, 3.0, k))
     knots = knots[np.concatenate(([True], np.diff(knots) > 1e-6))]
     slopes = np.cumsum(rng.uniform(0.05, 1.5, knots.size - 1))
@@ -216,37 +216,26 @@ def suite_lemma41(seed=0):
     return res
 
 
-def suite_lemma42(seed=0, n_max=50, p_grid=(0.1, 0.3, 0.5, 0.7), s_grid=(1.0, 2.0, 2.5, 3.0)):
+def suite_lemma42(seed=0):
     """Fractional-moment inequality swept over binomial and random survivals."""
     res = SuiteResult("lemma42")
     rng = np.random.default_rng(seed)
+    s_grid = (1.0, 2.0, 2.5, 3.0)
+    cases = [
+        (iid_sum_survival(two_point_from_variance(p - p * p, 1.0 - p), n), f"binomial n={n} p={p}")
+        for n, p in itertools.product(range(1, 51), (0.1, 0.3, 0.5, 0.7))
+    ]
+    cases += [(_random_survival(rng), f"random {i}") for i in range(20)]
     worst = -math.inf
-
-    def sweep(S, label):
-        nonlocal worst
-        h = log_concave_hull(S)
-        knots = S.knots
-        mids = 0.5 * (knots[:-1] + knots[1:])
-        xs = np.sort(np.concatenate([knots[1:], mids]))
-        for s in s_grid:
-            lhs = lhs_inf_sweep(S, s, xs)
-            rhs = np.array([rhs_bound(h, s, x) for x in xs])
-            margins = lhs - rhs
-            worst = max(worst, float(margins.max()))
-            res.checks += xs.size
-            for j in np.nonzero(margins > 1e-9)[0]:
-                res.fail(case=label, s=s, x=float(xs[j]), lhs=float(lhs[j]), rhs=float(rhs[j]))
-
-    instances = 0
-    for n in range(1, n_max + 1):
-        for p in p_grid:
-            S = iid_sum_survival(two_point_from_variance(p - p * p, 1.0 - p), n)
-            sweep(S, f"binomial n={n} p={p}")
-            instances += 1
-    for i in range(20):
-        sweep(_random_survival(rng), f"random {i}")
-        instances += 1
-    res.info["instances"] = instances
+    for S, label in cases:
+        xs, lhs, rhs = margin_sweep(S, s_grid)
+        margins = lhs - rhs
+        worst = max(worst, float(margins.max()))
+        res.checks += margins.size
+        for i, j in zip(*np.nonzero(margins > MARGIN_TOL)):
+            res.fail(case=label, s=s_grid[i], x=float(xs[j]),
+                     lhs=float(lhs[i, j]), rhs=float(rhs[i, j]))
+    res.info["instances"] = len(cases)
     res.info["worst_margin"] = worst
     return res
 
@@ -343,12 +332,13 @@ def suite_c1(seed=0):
     return res
 
 
-def suite_dominance(seed=0, n=2, trees_per_cell=420, mc_trials=200_000):
+def suite_dominance(seed=0, n=2):
     """Exhaustive small-tree dominance plus a Monte Carlo spot check.
 
     Random two-point-conditional trees under the range and variance
-    conditions are enumerated exactly and compared against the matching
-    theorem bound at every comparison-sum knot and midpoint.
+    conditions, 420 per cell at depth n and 210 below, are enumerated exactly
+    and compared against the matching theorem bound at every comparison-sum
+    knot and midpoint; 2e5 Monte Carlo trials follow.
     """
     if n > 2:
         raise ValueError("dominance suite enumerates depths 1 and 2 only")
@@ -363,7 +353,7 @@ def suite_dominance(seed=0, n=2, trees_per_cell=420, mc_trials=200_000):
     trees = 0
 
     for depth in range(1, n + 1):
-        per_cell = trees_per_cell if depth == n else max(trees_per_cell // 2, 100)
+        per_cell = 420 if depth == n else 210
         for case, key, grid, make_cond, bound_fn in variants:
             for cell in itertools.product(grid, repeat=depth):
                 cond = make_cond(np.array(cell))
@@ -382,7 +372,7 @@ def suite_dominance(seed=0, n=2, trees_per_cell=420, mc_trials=200_000):
                     )
 
     res.info["trees"] = trees
-    for row in monte_carlo_dominance_rows(seed=seed, trials=mc_trials):
+    for row in monte_carlo_dominance_rows(seed=seed, trials=200_000):
         res.checks += 1
         if not row["ok"]:
             res.fail(case="monte_carlo", **row)

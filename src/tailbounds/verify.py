@@ -59,9 +59,9 @@ class VerificationError(RuntimeError):
     """A claimed property failed a computational check."""
 
 
-def ceil_safe(y, slack=1e-9):
-    """Smallest integer >= y, forgiving float noise just above an integer."""
-    return math.ceil(y - slack)
+def ceil_safe(y):
+    """Smallest integer >= y, forgiving float noise up to 1e-9 above an integer."""
+    return math.ceil(y - 1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,12 +279,12 @@ def _two_point_paths(values, q_hi):
     return values[..., node, branch].sum(axis=-2), logps[..., node, branch].sum(axis=-2)
 
 
-def worst_case_search(cond, x, budget=6000, seed=0, restarts=6):
+def worst_case_search(cond, x, budget=6000, seed=0):
     """Maximize the exact tail over two-point-conditional trees of depth n <= 3.
 
     Conditional laws are restricted to two atoms (the n = 1 extremal laws are
     two-point; the restriction is kept explicit for n >= 2). Grid-seeded
-    coordinate ascent with random restarts; the report never exceeds the
+    coordinate ascent with six random restarts; the report never exceeds the
     applicable theorem bound.
     """
     if cond.variant not in ("range", "one_sided_variance"):
@@ -314,7 +314,7 @@ def worst_case_search(cond, x, budget=6000, seed=0, restarts=6):
         params = np.ones(dim)
         params[1::2] = np.where((frac > 0.0) & (frac <= 1.0), frac, 1.0)
         starts.append(params)
-    for _ in range(restarts):
+    for _ in range(6):
         starts.append(rng.uniform(0.05, 1.0, dim))
 
     scan = np.linspace(1e-6, 1.0, 65)
@@ -532,7 +532,7 @@ def convex_domination_check(family, X, params, slack=1e-10):
 # --- log-concavity of convolutions ----------------------------------------------
 
 
-def _is_log_concave_seq(p, rel_tol=1e-12):
+def _is_log_concave_seq(p):
     p = np.asarray(p, dtype=np.float64)
     pos = np.nonzero(p > 0)[0]
     if pos.size == 0:
@@ -540,29 +540,29 @@ def _is_log_concave_seq(p, rel_tol=1e-12):
     if np.any(p[pos[0] : pos[-1] + 1] <= 0):
         return False  # interior zero breaks log-concavity
     q = p[pos[0] : pos[-1] + 1]
-    return bool(np.all(q[1:-1] ** 2 >= q[:-2] * q[2:] * (1 - rel_tol)))
+    return bool(np.all(q[1:-1] ** 2 >= q[:-2] * q[2:] * (1 - 1e-12)))
 
 
-def convolution_log_concavity_check(p, q, rel_tol=1e-12):
+def convolution_log_concavity_check(p, q):
     """Convolving log-concave integer sequences preserves log-concavity.
 
     Both inputs must already be log-concave (that is the lemma's hypothesis);
     the check passes when the convolution and the suffix-sum sequences are
-    log-concave within the relative tolerance.
+    log-concave within a relative tolerance of 1e-12.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("sequences must be nonnegative")
-    if not (_is_log_concave_seq(p, rel_tol) and _is_log_concave_seq(q, rel_tol)):
+    if not (_is_log_concave_seq(p) and _is_log_concave_seq(q)):
         raise ValueError("inputs must be log-concave sequences")
     conv = np.convolve(p, q)
     tails = np.cumsum(conv[::-1])[::-1]
     tails_p = np.cumsum(p[::-1])[::-1]
     return (
-        _is_log_concave_seq(conv, rel_tol)
-        and _is_log_concave_seq(tails, rel_tol)
-        and _is_log_concave_seq(tails_p, rel_tol)
+        _is_log_concave_seq(conv)
+        and _is_log_concave_seq(tails)
+        and _is_log_concave_seq(tails_p)
     )
 
 
@@ -641,7 +641,7 @@ def poisson_limit_check(n, sigma2_total, b, m_list, x):
 # --- Monte Carlo ------------------------------------------------------------------
 
 
-def monte_carlo_tail(sampler, trials, x, seed, chunk=100_000):
+def monte_carlo_tail(sampler, trials, x, seed):
     """Empirical P{M_n >= x} with its binomial standard error.
 
     ``sampler(rng, size)`` must return ``size`` independent martingale sums;
@@ -654,6 +654,7 @@ def monte_carlo_tail(sampler, trials, x, seed, chunk=100_000):
         raise ValueError("threshold x must not be NaN")
     rng = np.random.default_rng(seed)
     hits = 0
+    chunk = 100_000  # sums per sampler call
     for start in range(0, trials, chunk):
         hits += int(np.count_nonzero(sampler(rng, min(chunk, trials - start)) >= x))
     p_hat = hits / trials
@@ -661,17 +662,13 @@ def monte_carlo_tail(sampler, trials, x, seed, chunk=100_000):
     return p_hat, se
 
 
-def iid_grid_sampler(values, n, probs=None):
-    """Sampler of sums of n iid draws from a finite grid (uniform by default)."""
+def iid_grid_sampler(values, n):
+    """Sampler of sums of n iid uniform draws from a finite grid."""
     values = np.asarray(values, dtype=np.float64)
     n = int(n)
 
     def sampler(rng, size):
-        if probs is None:
-            idx = rng.integers(0, values.size, size=(size, n))
-        else:
-            idx = rng.choice(values.size, size=(size, n), p=probs)
-        return values[idx].sum(axis=1)
+        return values[rng.integers(0, values.size, size=(size, n))].sum(axis=1)
 
     return sampler
 
@@ -679,40 +676,34 @@ def iid_grid_sampler(values, n, probs=None):
 # --- random instance generators ----------------------------------------------------
 
 
-def _random_simplex_points(rng, lo, hi, max_points):
-    k = int(rng.integers(2, max_points + 1))
-    pts = np.sort(rng.uniform(lo, hi, k))
+def _random_centered_points(rng, lo, b):
+    """2 to 7 flat-simplex points in [lo, b], centered, and the scale that keeps them <= b."""
+    k = int(rng.integers(2, 8))
+    pts = np.sort(rng.uniform(lo, b, k))
     # keep points apart so the support stays valid after centering
-    keep = np.concatenate(([True], np.diff(pts) > 1e-6 * max(1.0, abs(lo), abs(hi))))
+    keep = np.concatenate(([True], np.diff(pts) > 1e-6 * max(1.0, abs(lo), abs(b))))
     pts = pts[keep]
     probs = rng.dirichlet(np.ones(pts.size))
-    return pts, probs
+    shifted = pts - float(probs @ pts)
+    return shifted, probs, min(1.0, b / shifted[-1]) if shifted[-1] > 0 else 1.0
 
 
-def random_centered_dist_in_range(rng, a, b, max_points=7):
+def random_centered_dist_in_range(rng, a, b):
     """Random mean-zero law supported inside [a, b] (a < 0 < b).
 
     Points and flat-simplex probabilities are drawn, the mean is shifted out,
     and the support is shrunk back into the box, so the precondition holds
     exactly.
     """
-    pts, probs = _random_simplex_points(rng, a, b, max_points)
-    shifted = pts - float(probs @ pts)
-    c = 1.0
-    if shifted[-1] > 0:
-        c = min(c, b / shifted[-1])
+    shifted, probs, c = _random_centered_points(rng, a, b)
     if shifted[0] < 0:
         c = min(c, a / shifted[0])
     return DiscreteDist.from_probs(shifted * c, probs)
 
 
-def random_centered_dist_bounded(rng, sigma2, b, max_points=7):
+def random_centered_dist_bounded(rng, sigma2, b):
     """Random mean-zero law with support below b and second moment below sigma2."""
-    pts, probs = _random_simplex_points(rng, -3.0 * b, b, max_points)
-    shifted = pts - float(probs @ pts)
-    c = 1.0
-    if shifted[-1] > 0:
-        c = min(c, b / shifted[-1])
+    shifted, probs, c = _random_centered_points(rng, -3.0 * b, b)
     second = float(probs @ shifted**2)
     if second > 0:
         c = min(c, math.sqrt(sigma2 / second))

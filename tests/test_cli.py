@@ -137,6 +137,8 @@ class TestBoundCommand:
             (["--x-min", "0", "--x-max", "1", "--x-step", "nan"], "--x-step"),
             (["--x-min", "0", "--x-max", "1e300", "--x-step", "1e-300"], "--x-step"),
             (["--x-min=-1e308", "--x-max", "1e308", "--x-step", "1"], "--x-step"),
+            # too many points to allocate: refused before np.arange
+            (["--x-min", "0", "--x-max", "1e15", "--x-step", "1"], "--x-step"),
         ],
     )
     def test_non_finite_grid_exit_2(self, grid, flag, capsys):
@@ -169,36 +171,45 @@ class TestBoundCommand:
         assert len(parse_csv(out)) == 1
 
 
-# stdout of `tailbounds bound` before the bound layer took threshold arrays;
-# each grid has thresholds below the support, on knots and past the top knot
+# stdout of `tailbounds bound` before the bound layer took threshold arrays
+# (each grid has thresholds below the support, on knots and past the top knot),
+# of `tailbounds hull` before the hull took one exponential for scalars and
+# arrays, and of `tailbounds lemma42` once its hull side became one array call
 GOLDEN = {
-    "bound_t11.csv": ["--theorem", "1.1", "--n", "5", "--sigma2", "1", "--b", "1",
+    "bound_t11.csv": ["bound", "--theorem", "1.1", "--n", "5", "--sigma2", "1", "--b", "1",
                       "--x-min", "-6", "--x-max", "6", "--x-step", "0.5"],
-    "bound_t12.csv": ["--theorem", "1.2", "--n", "8", "--p", "0.25",
+    "bound_t12.csv": ["bound", "--theorem", "1.2", "--n", "8", "--p", "0.25",
                       "--x-min", "-3", "--x-max", "7", "--x-step", "0.5"],
-    "bound_t13.csv": ["--theorem", "1.3", "--n", "4", "--a", "1",
+    "bound_t13.csv": ["bound", "--theorem", "1.3", "--n", "4", "--a", "1",
                       "--x-min", "-5", "--x-max", "5", "--x-step", "0.5"],
-    "bound_t12_n200.csv": ["--theorem", "1.2", "--n", "200", "--p", "0.37",
+    "bound_t12_n200.csv": ["bound", "--theorem", "1.2", "--n", "200", "--p", "0.37",
                            "--x-min", "-5", "--x-max", "130", "--x-step", "2.5"],
-    "bound_t11_clamp.csv": ["--theorem", "1.1", "--n", "6", "--sigma2", "0.75", "--b", "1.5",
+    "bound_t11_clamp.csv": ["bound", "--theorem", "1.1", "--n", "6", "--sigma2", "0.75", "--b", "1.5",
                             "--x-min", "-4", "--x-max", "10", "--x-step", "0.5", "--clamp"],
-    "bound_t13_json.json": ["--theorem", "1.3", "--n", "3", "--a", "0.5",
+    "bound_t13_json.json": ["bound", "--theorem", "1.3", "--n", "3", "--a", "0.5",
                             "--x-min", "-2", "--x-max", "2", "--x-step", "0.25", "--format", "json"],
-    "bound_t12_ps.csv": ["--theorem", "1.2", "--ps", "0.1,0.3,0.2,0.4",
+    "bound_t12_ps.csv": ["bound", "--theorem", "1.2", "--ps", "0.1,0.3,0.2,0.4",
                          "--x-min", "-2", "--x-max", "5", "--x-step", "0.5"],
-    "bound_t11_sigma2s.csv": ["--theorem", "1.1", "--sigma2s", "0.5,1,1.5", "--b", "1",
+    "bound_t11_sigma2s.csv": ["bound", "--theorem", "1.1", "--sigma2s", "0.5,1,1.5", "--b", "1",
                               "--x-min", "-4", "--x-max", "4", "--x-step", "0.5"],
-    "bound_t13_bs.csv": ["--theorem", "1.3", "--bs", "1.5,0.5",
+    "bound_t13_bs.csv": ["bound", "--theorem", "1.3", "--bs", "1.5,0.5",
                          "--x-min", "-3", "--x-max", "3", "--x-step", "0.25"],
-    "bound_t13_per_k.csv": ["--theorem", "1.3", "--bs", "1,0.5", "--sigma2s", "0.25,1",
+    "bound_t13_per_k.csv": ["bound", "--theorem", "1.3", "--bs", "1,0.5", "--sigma2s", "0.25,1",
                             "--x-min", "-3", "--x-max", "3", "--x-step", "0.5"],
+    "hull_atoms.csv": ["hull", "--atoms", "0:0.9801,0.1:0.0099,1:0.0099,1.1:0.0001"],
+    "hull_atoms_n3.csv": ["hull", "--atoms=-1:0.25,0:0.5,2:0.25", "--n", "3"],
+    "hull_p.csv": ["hull", "--p", "0.3", "--n", "20"],
+    "hull_sigma2_b.csv": ["hull", "--sigma2", "0.25", "--b", "0.5", "--n", "10"],
+    "lemma42_atoms.csv": ["lemma42", "--atoms", "0:0.9801,0.1:0.0099,1:0.0099,1.1:0.0001"],
+    "lemma42_p_n200.csv": ["lemma42", "--p", "0.3", "--n", "200"],
+    "lemma42_sigma2_b.csv": ["lemma42", "--sigma2", "0.25", "--b", "0.5", "--n", "10"],
 }
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bound_stdout_matches_golden_file(name, capsys):
-    code, out, _ = run_cli(["bound", *GOLDEN[name]], capsys)
+    code, out, _ = run_cli(GOLDEN[name], capsys)
     assert code == 0
     assert out.encode() == (DATA / name).read_bytes()
 

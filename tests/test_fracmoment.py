@@ -20,14 +20,22 @@ from tailbounds.distributions import (
 )
 from tailbounds.hull import log_concave_hull, eval_hull
 from tailbounds.fracmoment import (
+    MARGIN_TOL,
     FractionalMomentQuery,
     lhs_inf,
     lhs_inf_sweep,
+    margin_sweep,
     moment_constant,
     rhs_bound,
     step_integral_moment,
 )
-from tailbounds.bounds import RANGE_CONST, SYMMETRIC_CONST, VARIANCE_CONST
+from tailbounds.bounds import (
+    RANGE_CONST,
+    SYMMETRIC_CONST,
+    VARIANCE_CONST,
+    MartingaleConditions,
+    comparison_hull,
+)
 
 
 def quad_step_integral(S, s, t):
@@ -216,6 +224,24 @@ class TestHullSide:
         assert rhs_bound(h, 2.5, x) == pytest.approx(
             4.096966298613827 * eval_hull(h, x), rel=1e-13
         )
+
+    def test_array_call_equals_scalar_calls_bit_for_bit(self):
+        h = comparison_hull(MartingaleConditions.range_condition(np.full(200, 0.3)))
+        xs = np.random.default_rng(5).uniform(h.knots[0] - 1.0, h.knots[-1] + 1.0, 10_000)
+        scalar = np.array([rhs_bound(h, 2.5, float(x)) for x in xs])
+        assert rhs_bound(h, 2.5, xs).tobytes() == scalar.tobytes()
+
+    def test_margin_sweep_reads_knots_and_midpoints(self):
+        S = iid_sum_survival(two_point_from_variance(0.21, 0.7), 12)
+        xs, lhs, rhs = margin_sweep(S, (1.0, 2.5))
+        knots = S.knots
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        assert np.array_equal(xs, np.sort(np.concatenate([knots[1:], mids])))
+        h = log_concave_hull(S)
+        for row, s in enumerate((1.0, 2.5)):
+            assert np.array_equal(lhs[row], lhs_inf_sweep(S, s, xs))
+            assert np.array_equal(rhs[row], rhs_bound(h, s, xs))
+        assert np.all(lhs - rhs <= MARGIN_TOL)
 
     def test_inequality_on_random_instances(self):
         rng = np.random.default_rng(61)

@@ -143,6 +143,12 @@ class TestHullEvaluation:
         assert out.shape == xs.shape
         assert out[0] == 1.0 and out[3] == 0.0
 
+    def test_array_call_equals_scalar_calls_bit_for_bit(self):
+        h = comparison_hull(MartingaleConditions.range_condition(np.full(200, 0.3)))
+        xs = np.random.default_rng(5).uniform(h.knots[0] - 1.0, h.knots[-1] + 1.0, 10_000)
+        scalar = np.array([eval_hull(h, float(x)) for x in xs])
+        assert eval_hull(h, xs).tobytes() == scalar.tobytes()
+
 
 class TestLinearEnvelope:
     def test_arithmetic_midpoint(self):

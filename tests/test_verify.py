@@ -606,10 +606,27 @@ class TestRunSuite:
         assert res.info["trees"] == 23_100
         assert res.failures == []
 
-    @pytest.mark.parametrize("name", ["lemma43", "lemma44", "lemma45", "lemma46"])
+    # seed-0 check counts, plus the info values that pin a suite's grid
+    PINNED = {
+        "lemma41": (8_010, {}),
+        "lemma42": (41_592, {"instances": 220, "worst_margin": -1.7182818284590113e-50}),
+        "lemma43": (10_000, {}),
+        "lemma44": (10_000, {}),
+        "lemma45": (10_000, {}),
+        "lemma46": (10_000, {}),
+        "lemma47": (2, {}),
+        "lemma48": (3, {}),
+        "c1": (1, {}),
+        "poisson-limit": (9, {}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
     def test_property_suite_counts_pinned(self, name):
         (res,) = run_suite(name, seed=0)
-        assert res.checks == 10_000
+        checks, info = self.PINNED[name]
+        assert res.checks == checks
+        # rel 1e-12 leaves room for a last-bit difference in exp between machines
+        assert {k: res.info[k] for k in info} == pytest.approx(info, rel=1e-12)
         assert res.failures == []
 
     def test_rejects_unknown_keyword(self):
@@ -617,6 +634,11 @@ class TestRunSuite:
             run_suite("lemma48", bogus=1)
         with pytest.raises(ValueError):
             run_suite("all", bogus=1)
+        # the suite grids are fixed
+        for name, key in (("lemma42", "n_max"), ("lemma42", "p_grid"), ("lemma42", "s_grid"),
+                          ("dominance", "trees_per_cell"), ("dominance", "mc_trials")):
+            with pytest.raises(ValueError):
+                run_suite(name, **{key: 1})
 
     def test_passes_keywords_through(self):
         (res,) = run_suite("lemma43", instances=5)
