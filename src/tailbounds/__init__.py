@@ -32,7 +32,6 @@ from .hull import (
     poisson_hull_log_eval,
 )
 from .fracmoment import (
-    FractionalMomentQuery,
     lhs_inf,
     lhs_inf_sweep,
     margin_sweep,

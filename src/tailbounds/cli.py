@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .distributions import DiscreteDist, convolve, iid_sum_survival, two_point_from_variance
-from .hull import linear_envelope_eval, log_concave_hull
+from .hull import _on_hull, linear_envelope_eval, log_concave_hull
 from .fracmoment import MARGIN_TOL, margin_sweep
 from .bounds import (
     MartingaleConditions,
@@ -115,18 +115,23 @@ def _per_k(args, name, scalar, n):
 
 def _dist_from_args(args):
     """Distribution spec shared by the hull and lemma42 subcommands."""
+    n = args.n
+    if n is not None and n < 1:
+        raise ValueError(f"--n must be a positive integer, got {n}")
     if args.atoms is not None:
         d = _parse_atoms(args.atoms)
-        if args.n is not None:
+        if n is not None:
             base = d
-            for _ in range(int(args.n) - 1):
+            for _ in range(n - 1):
                 d = convolve(d, base)
         return d.survival()
+    if n is None:
+        raise ValueError("--n is required unless --atoms is given")
     if args.p is not None:
-        cond = MartingaleConditions.range_condition(np.full(int(args.n), args.p))
-        return iid_sum_survival(comparison_atom(cond), int(args.n))
+        cond = MartingaleConditions.range_condition(np.full(n, args.p))
+        return iid_sum_survival(comparison_atom(cond), n)
     if args.sigma2 is not None and args.b is not None:
-        return iid_sum_survival(two_point_from_variance(args.sigma2, args.b), int(args.n))
+        return iid_sum_survival(two_point_from_variance(args.sigma2, args.b), n)
     raise ValueError("give --atoms, --p with --n, or --sigma2/--b with --n")
 
 
@@ -191,16 +196,15 @@ def _cmd_bound(args):
 
 def _cmd_hull(args):
     S = _dist_from_args(args)
-    hull = log_concave_hull(S)
-    hull_y = np.interp(S.knots, hull.knots, hull.neg_log)
+    on_hull = _on_hull(S, log_concave_hull(S))
     rows = []
-    for x, logv, hy in zip(S.knots, S.log_values, hull_y):
+    for x, logv, on in zip(S.knots, S.log_values, on_hull):
         rows.append(
             {
                 "x": float(x),
                 "survival": math.exp(logv),
                 "neg_log_survival": -logv,
-                "on_hull": int(-logv - hy <= 1e-12),
+                "on_hull": int(on),
             }
         )
     _emit(rows, ["x", "survival", "neg_log_survival", "on_hull"], args.format, args.out)
@@ -224,8 +228,8 @@ def _cmd_lemma42(args):
 
 
 def _cmd_verify(args):
-    # --n is the dominance suite's depth; the other suites take no n
-    depth = {"n": args.n} if args.suite in ("all", "dominance") else {}
+    # --n is the dominance suite's depth; run_suite refuses it for other suites
+    depth = {} if args.n is None else {"n": args.n}
     results = run_suite(args.suite, seed=args.seed, **depth)
     failures = []
     for res in results:
@@ -291,7 +295,7 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p_verify.add_argument("--n", type=int, default=2, help="martingale depth for the dominance suite")
+    p_verify.add_argument("--n", type=int, help="martingale depth for the dominance suite (default 2)")
     p_verify.add_argument("--seed", type=int, default=0)
 
     p_conf = sub.add_parser("confidence", help="conservative upper confidence limit")

@@ -15,14 +15,12 @@ derivative.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hull import eval_hull, log_concave_hull
 
 __all__ = [
-    "FractionalMomentQuery",
     "step_integral_moment",
     "lhs_inf",
     "lhs_inf_sweep",
@@ -34,35 +32,6 @@ __all__ = [
 
 # A margin lhs - rhs above this counts as a violation of the inequality.
 MARGIN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FractionalMomentQuery:
-    """One comparison query: moment order, threshold, and the active region.
-
-    The inequality regime runs over alpha < x <= beta, where alpha is the
-    last point at which the hull still equals 1 and beta the first where it
-    vanishes; outside it nothing is claimed.
-    """
-
-    s: float
-    x: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.s > 0.0:
-            raise ValueError(f"s must be positive, got {self.s}")
-        if not self.alpha < self.beta:
-            raise ValueError("need alpha < beta")
-
-    @classmethod
-    def from_survival(cls, S, s, x):
-        return cls(s=float(s), x=float(x), alpha=float(S.knots[0]), beta=float(S.knots[-1]))
-
-    @property
-    def in_regime(self):
-        return self.alpha < self.x <= self.beta
 
 
 def _segment_integral(S, s, ts):

@@ -122,6 +122,11 @@ def linear_envelope_eval(S, x):
     return out
 
 
+def _on_hull(S, h):
+    """Per-knot mask: whether each knot of ``S`` lies on its hull ``h``, up to the convexity slack."""
+    return (-S.log_values) - np.interp(S.knots, h.knots, h.neg_log) <= _CONVEXITY_SLACK
+
+
 def is_log_concave_discrete(S):
     """Whether every knot of ``S`` lies on its own lower convex hull, up to the convexity slack.
 
@@ -129,9 +134,7 @@ def is_log_concave_discrete(S):
     convex (equivalently B(x_i)^2 >= B(x_{i-1}) B(x_{i+1}) on equally spaced
     knots).
     """
-    h = log_concave_hull(S)
-    hull_y = np.interp(S.knots, h.knots, h.neg_log)
-    return bool(np.all((-S.log_values) - hull_y <= _CONVEXITY_SLACK))
+    return bool(np.all(_on_hull(S, log_concave_hull(S))))
 
 
 def _interpolate_integer_log_survival(log_survival, y):

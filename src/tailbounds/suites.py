@@ -23,6 +23,7 @@ from .distributions import (
     two_point_from_variance,
 )
 from .hull import (
+    _on_hull,
     eval_hull,
     is_log_concave_discrete,
     linear_envelope_eval,
@@ -44,6 +45,7 @@ from .verify import (
     VerificationError,
     _domination_kernel,
     _path_tails,
+    _random_points,
     _schur_kernel,
     _two_point_nodes,
     _two_point_paths,
@@ -94,10 +96,7 @@ class SuiteResult:
 
 
 def _random_survival(rng):
-    k = int(rng.integers(2, 9))  # 2 to 8 points in [-3, 3]
-    pts = np.sort(rng.uniform(-3.0, 3.0, k))
-    keep = np.concatenate(([True], np.diff(pts) > 1e-6))
-    pts = pts[keep]
+    pts = _random_points(rng, 8, -3.0, 3.0, 1e-6)
     probs = rng.dirichlet(np.ones(pts.size))
     return DiscreteDist.from_probs(pts, probs).survival()
 
@@ -110,9 +109,7 @@ def _random_log_concave_seq(rng):
 
 def _random_log_concave_survival(rng):
     """Survival whose -log values are convex over the knots by construction."""
-    k = int(rng.integers(2, 9))
-    knots = np.sort(rng.uniform(-3.0, 3.0, k))
-    knots = knots[np.concatenate(([True], np.diff(knots) > 1e-6))]
+    knots = _random_points(rng, 8, -3.0, 3.0, 1e-6)
     slopes = np.cumsum(rng.uniform(0.05, 1.5, knots.size - 1))
     neg_log = np.concatenate(([0.0], np.cumsum(slopes * np.diff(knots))))
     return StepSurvival(knots, -neg_log)
@@ -175,11 +172,11 @@ def suite_lemma41(seed=0):
     for n in range(1, 201):
         for p in (0.05, 0.3, 0.5, 0.7, 0.95):
             S = iid_sum_survival(two_point_from_variance(p - p * p, 1.0 - p), n)
+            h = log_concave_hull(S)
             res.checks += 1
-            if not is_log_concave_discrete(S):
+            if not _on_hull(S, h).all():
                 res.fail(case="binomial_log_concavity", n=n, p=p)
             res.checks += 1
-            h = log_concave_hull(S)
             xs = rng.uniform(float(S.knots[0]) - 1.0, float(S.knots[-1]) + 1.0, 200)
             if np.any(S.eval(xs) > eval_hull(h, xs) + 1e-12) or np.any(
                 eval_hull(h, xs) > linear_envelope_eval(S, xs) + 1e-12
@@ -340,8 +337,8 @@ def suite_dominance(seed=0, n=2):
     and compared against the matching theorem bound at every comparison-sum
     knot and midpoint; 2e5 Monte Carlo trials follow.
     """
-    if n > 2:
-        raise ValueError("dominance suite enumerates depths 1 and 2 only")
+    if not 1 <= n <= 2:
+        raise ValueError(f"dominance suite enumerates depths 1 and 2 only, got n={n}")
     res = SuiteResult("dominance")
     rng = np.random.default_rng(seed)
     variants = (

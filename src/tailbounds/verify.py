@@ -12,7 +12,7 @@ its standard-error slack) may ever exceed an applicable bound.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,13 @@ def ceil_safe(y):
     return math.ceil(y - 1e-9)
 
 
+def _check_centered(values, probs):
+    """Raise unless every law (rows of the last axis) has |mean| <= 1e-12 max(1, max|v|)."""
+    scale = np.maximum(1.0, np.abs(values).max(axis=-1))
+    if not (np.abs((values * probs).sum(axis=-1)) <= 1e-12 * scale).all():
+        raise ValueError("conditional mean must vanish (martingale differences)")
+
+
 @dataclass(frozen=True, eq=False)
 class TreeNode:
     """Conditional law of the next difference given the history at this node."""
@@ -83,9 +90,7 @@ class TreeNode:
             raise ValueError("values must be finite")
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("probs must be nonnegative and sum to 1")
-        scale = max(1.0, float(np.max(np.abs(values))))
-        if not abs(float(values @ probs)) <= 1e-12 * scale:
-            raise ValueError("conditional mean must vanish (martingale differences)")
+        _check_centered(values, probs)
         if self.children is not None and len(self.children) != values.size:
             raise ValueError("need one child per support point")
 
@@ -96,52 +101,71 @@ class TreeNode:
 
 @dataclass(frozen=True, eq=False)
 class MartingaleTree:
-    """Depth-n tree of conditional difference laws, optionally condition-tagged."""
+    """Depth-n tree of conditional difference laws, optionally condition-tagged.
+
+    The tree is walked once, at construction: every node is checked against
+    the depth and the condition, and the leaf path sums and log-probabilities
+    are stored for the tail queries.
+    """
 
     root: TreeNode
     depth: int
     condition: MartingaleConditions | None = None
+    _sums: np.ndarray = field(init=False, repr=False)
+    _logps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        leaves = self._validate(self.root, 1, {})
-        if leaves > _MAX_LEAVES:
-            raise ValueError(f"tree has {leaves} leaves, over the {_MAX_LEAVES} limit")
+        if self.depth < 1:
+            raise ValueError(f"depth must be at least 1, got {self.depth}")
+        if self.condition is not None and self.condition.n != self.depth:
+            raise ValueError(f"condition has n={self.condition.n} but the tree has depth {self.depth}")
+        # paths grow level by level, root first; paths that reach the same node
+        # object (iid_tree shares one node per level) grow as one array
+        level = [(self.root, np.zeros(1), np.zeros(1))]
+        with np.errstate(divide="ignore"):
+            for k in range(self.depth):
+                last = k == self.depth - 1
+                for node, _, _ in level:
+                    self._check_condition(node, k)
+                    if node.children is None and not last:
+                        raise ValueError("all leaves must sit at the stated depth")
+                    if node.children is not None and last:
+                        raise ValueError("tree deeper than stated depth")
+                # refuse before growing the paths past the cap
+                if sum(sums.size * node.values.size for node, sums, _ in level) > _MAX_LEAVES:
+                    raise ValueError(f"tree has over {_MAX_LEAVES} leaves")
+                if last:
+                    break
+                reached = {}
+                for node, sums, logps in level:
+                    for child, v, lp in zip(node.children, node.values, np.log(node.probs)):
+                        _, child_sums, child_logps = reached.setdefault(id(child), (child, [], []))
+                        child_sums.append(sums + v)
+                        child_logps.append(logps + lp)
+                level = [(c, np.concatenate(ss), np.concatenate(ls)) for c, ss, ls in reached.values()]
+            sums = [(s[:, None] + node.values).ravel() for node, s, _ in level]
+            logps = [(ls[:, None] + np.log(node.probs)).ravel() for node, _, ls in level]
+        object.__setattr__(self, "_sums", np.concatenate(sums))
+        object.__setattr__(self, "_logps", np.concatenate(logps))
 
-    def _validate(self, node, level, seen):
-        # iid trees share node objects; validate each (node, level) pair once
-        key = (id(node), level)
-        if key in seen:
-            return seen[key]
-        self._check_condition(node, level)
-        if node.children is None:
-            if level != self.depth:
-                raise ValueError("all leaves must sit at the stated depth")
-            count = node.values.size
-        else:
-            if level >= self.depth:
-                raise ValueError("tree deeper than stated depth")
-            count = sum(self._validate(child, level + 1, seen) for child in node.children)
-        seen[key] = count
-        return count
-
-    def _check_condition(self, node, level):
+    def _check_condition(self, node, k):
         cond = self.condition
         if cond is None:
             return
-        k = level - 1
         tol = 1e-12
-        if cond.variant == "one_sided_variance":
-            if np.any(node.values > cond.b * (1 + tol) + tol):
-                raise ValueError(f"difference above b at depth {level}")
+        if cond.variant in ("one_sided_variance", "per_k"):
+            b = cond.b if cond.variant == "one_sided_variance" else cond.bs[k]
+            if np.any(node.values > b * (1 + tol) + tol):
+                raise ValueError(f"difference above b at depth {k + 1}")
             if node.second_moment > cond.sigma2s[k] * (1 + tol) + tol:
-                raise ValueError(f"conditional variance above cap at depth {level}")
+                raise ValueError(f"conditional variance above cap at depth {k + 1}")
         elif cond.variant == "range":
             p = cond.ps[k]
             if np.any(node.values < -p - tol) or np.any(node.values > 1 - p + tol):
-                raise ValueError(f"difference outside [-p, 1-p] at depth {level}")
+                raise ValueError(f"difference outside [-p, 1-p] at depth {k + 1}")
         elif cond.variant == "symmetric":
             if np.any(np.abs(node.values) > cond.bs[k] * (1 + tol) + tol):
-                raise ValueError(f"|difference| above cap at depth {level}")
+                raise ValueError(f"|difference| above cap at depth {k + 1}")
 
 
 def iid_tree(d, n, condition=None):
@@ -152,27 +176,6 @@ def iid_tree(d, n, condition=None):
     for _ in range(n - 1):
         node = TreeNode(d.support, d.probs, children=(node,) * d.support.size)
     return MartingaleTree(root=node, depth=n, condition=condition)
-
-
-def _paths(tree):
-    """All leaf path sums with their log-probabilities.
-
-    Paths grow level by level, root first. Paths that reach the same node
-    object (``iid_tree`` shares one node per level) grow as one array.
-    """
-    level = [(tree.root, np.zeros(1), np.zeros(1))]
-    with np.errstate(divide="ignore"):
-        while level[0][0].children is not None:
-            reached = {}
-            for node, sums, logps in level:
-                for child, v, lp in zip(node.children, node.values, np.log(node.probs)):
-                    _, child_sums, child_logps = reached.setdefault(id(child), (child, [], []))
-                    child_sums.append(sums + v)
-                    child_logps.append(logps + lp)
-            level = [(c, np.concatenate(ss), np.concatenate(ls)) for c, ss, ls in reached.values()]
-        sums = [(s[:, None] + node.values).ravel() for node, s, _ in level]
-        logps = [(ls[:, None] + np.log(node.probs)).ravel() for node, _, ls in level]
-    return np.concatenate(sums), np.concatenate(logps)
 
 
 def _path_tails(sums, logps, xs):
@@ -199,8 +202,8 @@ def _path_tails(sums, logps, xs):
 
 
 def exact_tail_many(tree, xs):
-    """Exact P{M_n >= x} for each threshold, one path enumeration."""
-    return _path_tails(*_paths(tree), xs)
+    """Exact P{M_n >= x} for each threshold, from the tree's leaf paths."""
+    return _path_tails(tree._sums, tree._logps, xs)
 
 
 def exact_tail(tree, x):
@@ -266,9 +269,7 @@ def _two_point_paths(values, q_hi):
     probs = np.stack([1.0 - q_hi, q_hi], axis=-1)
     if not np.all((q_hi >= 0.0) & (q_hi <= 1.0)):
         raise ValueError("node probabilities must lie in [0, 1]")
-    scale = np.maximum(1.0, np.max(np.abs(values), axis=-1))
-    if not np.all(np.abs(np.sum(values * probs, axis=-1)) <= 1e-12 * scale):
-        raise ValueError("conditional mean must vanish (martingale differences)")
+    _check_centered(values, probs)
     n = int(np.log2(values.shape[-2] + 1))
     leaf = np.arange(2**n)
     k = np.arange(n)[:, None]
@@ -471,9 +472,7 @@ def _domination_kernel(family, laws, params, slack):
     for i, X in enumerate(laws):
         support[i, : X.support.size] = X.support
         probs[i, : X.support.size] = X.probs
-    scale = np.maximum(1.0, np.abs(support).max(axis=-1))
-    if (np.abs((support * probs).sum(axis=-1)) > 1e-12 * scale).any():
-        raise ValueError("X must be centered")
+    _check_centered(support, probs)
     b = np.array([p["b"] for p in params], dtype=np.float64)
     if family == "convex":
         a = np.array([p["a"] for p in params], dtype=np.float64)
@@ -676,13 +675,16 @@ def iid_grid_sampler(values, n):
 # --- random instance generators ----------------------------------------------------
 
 
+def _random_points(rng, k_max, lo, hi, gap):
+    """2 to k_max sorted uniform points in [lo, hi], less any within gap of its left neighbour."""
+    pts = np.sort(rng.uniform(lo, hi, int(rng.integers(2, k_max + 1))))
+    return pts[np.concatenate(([True], np.diff(pts) > gap))]
+
+
 def _random_centered_points(rng, lo, b):
     """2 to 7 flat-simplex points in [lo, b], centered, and the scale that keeps them <= b."""
-    k = int(rng.integers(2, 8))
-    pts = np.sort(rng.uniform(lo, b, k))
     # keep points apart so the support stays valid after centering
-    keep = np.concatenate(([True], np.diff(pts) > 1e-6 * max(1.0, abs(lo), abs(b))))
-    pts = pts[keep]
+    pts = _random_points(rng, 7, lo, b, 1e-6 * max(1.0, abs(lo), abs(b)))
     probs = rng.dirichlet(np.ones(pts.size))
     shifted = pts - float(probs @ pts)
     return shifted, probs, min(1.0, b / shifted[-1]) if shifted[-1] > 0 else 1.0

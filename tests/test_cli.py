@@ -241,6 +241,21 @@ class TestHullCommand:
         code, _, err = run_cli(["hull", "--atoms", "0:0.5,1:0.7"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hull", "--p", "0.3"],
+            ["lemma42", "--sigma2", "0.5", "--b", "1"],
+            ["hull", "--atoms=-1:0.5,1:0.5", "--n", "0"],
+            ["hull", "--atoms=-1:0.5,1:0.5", "--n", "-1"],
+        ],
+    )
+    def test_missing_or_nonpositive_n_exit_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--n" in err
+
 
 class TestLemma42Command:
     def test_margins_negative(self, capsys):
@@ -261,10 +276,18 @@ class TestVerifyCommand:
         assert "suite=lemma48" in out
         assert "failures=0" in out
 
-    def test_depth_ignored_by_suites_without_it(self, capsys):
-        code, out, _ = run_cli(["verify", "--suite", "lemma48", "--n", "3"], capsys)
-        assert code == 0
-        assert "failures=0" in out
+    def test_depth_rejected_by_suites_without_it(self, capsys):
+        # only the dominance suite has a depth; --n elsewhere would do nothing
+        code, out, err = run_cli(["verify", "--suite", "lemma48", "--n", "7"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_dominance_rejects_depth_below_one(self, capsys):
+        code, out, err = run_cli(["verify", "--suite", "dominance", "--n", "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "n=0" in err
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

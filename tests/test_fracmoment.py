@@ -21,7 +21,6 @@ from tailbounds.distributions import (
 from tailbounds.hull import log_concave_hull, eval_hull
 from tailbounds.fracmoment import (
     MARGIN_TOL,
-    FractionalMomentQuery,
     lhs_inf,
     lhs_inf_sweep,
     margin_sweep,
@@ -252,23 +251,6 @@ class TestHullSide:
                 mids = 0.5 * (S.knots[:-1] + S.knots[1:])
                 for x in np.concatenate([S.knots[1:], mids]):
                     assert lhs_inf(S, s, float(x)) <= rhs_bound(h, s, float(x)) + 1e-9
-
-
-class TestQuery:
-    def test_regime_bounds_from_survival(self):
-        S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 3)
-        q = FractionalMomentQuery.from_survival(S, 2.0, 1.0)
-        assert (q.alpha, q.beta) == (-3.0, 3.0)
-        assert q.in_regime
-        assert not FractionalMomentQuery.from_survival(S, 2.0, -3.0).in_regime
-        assert not FractionalMomentQuery.from_survival(S, 2.0, 3.5).in_regime
-        assert FractionalMomentQuery.from_survival(S, 2.0, 3.0).in_regime
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FractionalMomentQuery(s=0.0, x=1.0, alpha=0.0, beta=1.0)
-        with pytest.raises(ValueError):
-            FractionalMomentQuery(s=1.0, x=1.0, alpha=2.0, beta=1.0)
 
 
 class TestProofWitness:

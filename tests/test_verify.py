@@ -1,5 +1,6 @@
 """Tests for the exact-enumeration, search, and property-check machinery."""
 
+import hashlib
 import itertools
 import math
 
@@ -25,7 +26,6 @@ from tailbounds.verify import (
     TreeNode,
     _domination_kernel,
     _path_tails,
-    _paths,
     _two_point_nodes,
     _two_point_paths,
     c1_search,
@@ -111,6 +111,27 @@ class TestTrees:
         with pytest.raises(ValueError):
             iid_tree(two_point_from_range(-0.8, 0.2), 2, condition=cond)
 
+    def test_per_k_condition_is_checked(self):
+        cond = MartingaleConditions.per_k([0.5], [0.01])
+        with pytest.raises(ValueError, match="above b"):
+            MartingaleTree(TreeNode([-5.0, 5.0], [0.5, 0.5]), depth=1, condition=cond)
+        with pytest.raises(ValueError, match="variance"):
+            MartingaleTree(TreeNode([-0.5, 0.5], [0.5, 0.5]), depth=1, condition=cond)
+        assert MartingaleTree(TreeNode([-0.1, 0.1], [0.5, 0.5]), depth=1, condition=cond).depth == 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_condition_must_match_depth(self, n):
+        # too short leaves the last steps uncapped; too long caps steps the tree lacks
+        cond = MartingaleConditions.range_condition(np.full(n, 0.5))
+        with pytest.raises(ValueError, match="depth"):
+            iid_tree(two_point_from_range(-0.5, 0.5), 2, condition=cond)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_depth_must_match_tree(self, depth):
+        root = TreeNode([-1.0, 1.0], [0.5, 0.5], children=(TreeNode([-1.0, 1.0], [0.5, 0.5]),) * 2)
+        with pytest.raises(ValueError):
+            MartingaleTree(root, depth=depth)
+
 
 def _node_tree(cond, scales):
     """Reference tree from breadth-first node scales, built node by node."""
@@ -145,7 +166,7 @@ class TestTwoPointEngine:
         assert sums.shape == logps.shape == (20, 2**depth)
         for row, sc in enumerate(scales):
             tree = _node_tree(cond, sc)
-            ref_sums = np.sort(_paths(tree)[0])
+            ref_sums = np.sort(tree._sums)
             np.testing.assert_array_equal(np.sort(sums[row]), ref_sums)
             # every path sum (>= ties), midpoints, and both sides of the support
             xs = np.concatenate(
@@ -172,7 +193,7 @@ class TestTwoPointEngine:
         d = DiscreteDist.from_probs([-1.0, 0.25, 2.0], [0.3, 0.6, 0.1])
         d = DiscreteDist(d.support - d.mean, d.logp)
         tree = iid_tree(d, 6)
-        sums, logps = _paths(tree)
+        sums, logps = tree._sums, tree._logps
         rng = np.random.default_rng(4)
         xs = np.concatenate([rng.choice(sums, 30), rng.uniform(-8.0, 14.0, 30), [np.inf, -np.inf, 0.0, 0.0]])
         ref = [math.exp(np.logaddexp.reduce(logps[sums >= x])) if np.any(sums >= x) else 0.0 for x in xs]
@@ -212,7 +233,7 @@ class TestPaths:
             tree = iid_tree(two_point_from_variance(0.37, 0.9), 12)
         else:
             tree = MartingaleTree(_random_three_point_tree(np.random.default_rng(8), 4), depth=4)
-        sums, logps = _paths(tree)
+        sums, logps = tree._sums, tree._logps
         ref_sums, ref_logps = _paths_node_by_node(tree)
         # the multiset of (sum, log-prob) pairs is bitwise the same
         order, ref_order = np.lexsort((logps, sums)), np.lexsort((ref_logps, ref_sums))
@@ -589,6 +610,26 @@ class TestRandomGenerators:
             assert abs(X.mean) < 1e-12
             assert X.support[-1] <= b + 1e-12
             assert float(X.probs @ X.support**2) <= sigma2 * (1 + 1e-12)
+
+
+    @pytest.mark.parametrize(
+        "draw, params, digest",
+        [
+            (random_centered_dist_in_range, (-0.7, 1.3),
+             "7a113a820da4eb9c33da671aba6f201d626495ab194734e64f33e9f687b19772"),
+            (random_centered_dist_bounded, (0.8, 1.1),
+             "d529a0a5ea4f0d6811f81150c5e7154f96c6edecc433f95d2ef22dcac006a9aa"),
+        ],
+    )
+    def test_draw_stream_pinned(self, draw, params, digest):
+        # the suite instances and the benchmark inputs are drawn from this stream
+        rng = np.random.default_rng(2024)
+        h = hashlib.sha256()
+        for _ in range(1000):
+            X = draw(rng, *params)
+            h.update(X.support.tobytes())
+            h.update(X.probs.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestCeilSafe:
