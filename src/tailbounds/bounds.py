@@ -188,19 +188,15 @@ class BoundResult:
         return min(1.0, self.value)
 
 
-def _range_atom(p):
-    """Range-condition comparison atom eps(p - p^2, 1 - p) at mean p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"mean p must lie strictly inside (0,1), got {p}")
-    return two_point_from_variance(p - p * p, 1.0 - p)
-
-
 def comparison_atom(cond):
     """The dominating iid two-point atom for a conditions object."""
     if cond.variant == "one_sided_variance":
         return two_point_from_variance(cond.mean_sigma2, cond.b)
     if cond.variant == "range":
-        return _range_atom(cond.mean_p)
+        p = cond.mean_p
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"mean p must lie strictly inside (0,1), got {p}")
+        return two_point_from_variance(p - p * p, 1.0 - p)
     if cond.variant in ("per_k", "symmetric"):
         a = math.sqrt(cond.a2)
         return two_point_from_variance(a * a, a)
@@ -576,13 +572,10 @@ def gaussian_tail_upper(x):
 def _confidence_bound(n, mu, sample_mean):
     """Range bound for n differences in [-(1 - mu), mu] at x = n (mu - sample_mean).
 
-    The comparison atom is built at p = 1 - mu directly, and the hull read
-    lazily, so a probe costs O(1) in n.
+    Knot k of the comparison sum at p = 1 - mu sits at k - n p, so x is knot
+    n (1 - sample_mean) for every mu, read off the Bin(n, 1 - mu) hull.
     """
-    p = 1.0 - mu
-    # at sample_mean = 0 the threshold is the comparison sum's top knot
-    # n (1 - p); computing it from p itself keeps it on that knot
-    return RANGE_CONST * _lazy_hull_value(_range_atom(p), n, n * (1.0 - p - sample_mean))
+    return RANGE_CONST * math.exp(binomial_hull_log_eval(n, 1.0 - mu, n * (1.0 - sample_mean)))
 
 
 def invert_for_confidence(n, sample_mean, delta):
@@ -593,8 +586,14 @@ def invert_for_confidence(n, sample_mean, delta):
     mean-mu sample looks this small" still reaches delta: the bound is
     evaluated for the reflected differences (each in [-(1 - mu), mu], i.e.
     p_k = 1 - mu) at the threshold x = n (mu - sample_mean), and mu is found
-    by bisection. Each probe reads the comparison hull lazily, in O(1) in n.
-    Returns 1 if even mu -> 1 keeps the bound above delta.
+    by bisection. Each probe is e P{Bin(n, 1 - mu) >= n (1 - sample_mean)}
+    on the hull, O(1) in n. Returns 1 if even mu -> 1 keeps the bound above
+    delta.
+
+    For an integer k = n sample_mean < n the probe is e P{Bin(n, mu) <= k},
+    so the limit is the Clopper-Pearson upper limit at level delta / e: the
+    1 - delta / e quantile of Beta(k + 1, n - k), to the 1e-9 bisection
+    tolerance.
 
     The bound decreases in mu; that monotonicity is spot-checked on every
     call.
@@ -612,7 +611,7 @@ def invert_for_confidence(n, sample_mean, delta):
     def bound(mu):
         return _confidence_bound(n, mu, sample_mean)
 
-    # mu = 0 and mu = 1 would make the comparison atom degenerate
+    # mu = 0 and mu = 1 would make Bin(n, 1 - mu) degenerate
     hi = 1.0 - 1e-12
     probes = np.linspace(max(sample_mean, 1e-12), hi, 7)
     vals = [bound(m) for m in probes]

@@ -91,8 +91,9 @@ def _resolve_xs(args):
     if not count < _MAX_GRID_POINTS:
         raise ValueError(f"--x-step {step} makes more than {_MAX_GRID_POINTS} thresholds")
     if abs(count - round(count)) > 1e-9:
-        print("warning: step does not divide the range; last point clamped", file=sys.stderr)
+        print("warning: step does not divide the range; the grid stops below --x-max", file=sys.stderr)
     xs = np.arange(lo, hi + step * 1e-9, step)
+    # a last point past x-max by rounding is put back on it
     if xs[-1] > hi:
         xs[-1] = hi
     return xs
@@ -100,6 +101,8 @@ def _resolve_xs(args):
 
 def _per_k(args, name, scalar, n):
     """Resolve a per-step list from --<name>s or a repeated scalar."""
+    if n is not None and n < 1:
+        raise ValueError(f"--n must be a positive integer, got {n}")
     lst = getattr(args, name + "s", None)
     if lst is not None:
         values = np.array(_parse_floats(lst))
@@ -151,12 +154,10 @@ def _cmd_bound(args):
             bs = _per_k(args, "b", args.b if args.b is not None else args.a, args.n)
             sigma2s = _per_k(args, "sigma2", args.sigma2, args.n)
             cond = MartingaleConditions.per_k(bs, sigma2s)
-        elif args.bs is not None:
-            cond = MartingaleConditions.symmetric(_per_k(args, "b", None, args.n))
+        elif args.bs is None and args.a is None:
+            raise ValueError("--a (or --bs, or --sigma2s with --bs) is required for theorem 1.3")
         else:
-            if args.a is None:
-                raise ValueError("--a (or --bs, or --sigma2s with --bs) is required for theorem 1.3")
-            cond = MartingaleConditions.symmetric(np.full(int(args.n), float(args.a)))
+            cond = MartingaleConditions.symmetric(_per_k(args, "b", args.a, args.n))
     S = iid_sum_survival(comparison_atom(cond), cond.n)
     hull = log_concave_hull(S)
     # one call per column over all thresholds
@@ -229,8 +230,7 @@ def _cmd_lemma42(args):
 
 def _cmd_verify(args):
     # --n is the dominance suite's depth; run_suite refuses it for other suites
-    depth = {} if args.n is None else {"n": args.n}
-    results = run_suite(args.suite, seed=args.seed, **depth)
+    results = run_suite(args.suite, seed=args.seed, n=args.n)
     failures = []
     for res in results:
         extra = " ".join(f"{k}={_fmt(v)}" for k, v in res.info.items())

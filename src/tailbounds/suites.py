@@ -6,7 +6,6 @@ The acceptance tests run the same functions at the same scale.
 """
 
 import functools
-import inspect
 import itertools
 import math
 import time
@@ -237,7 +236,7 @@ def suite_lemma42(seed=0):
     return res
 
 
-def _domination_suite(name, family, seed=0, instances=10_000):
+def _domination_suite(name, family, seed=0):
     """Domination of random centered laws by the family's extremal atom.
 
     lemma43: convex domination by the range atom xi(a, b); lemma44: the moment
@@ -249,12 +248,12 @@ def _domination_suite(name, family, seed=0, instances=10_000):
     convex = family == "convex"
     draw = random_centered_dist_in_range if convex else random_centered_dist_bounded
     laws, params = [], []
-    for _ in range(instances):
+    for _ in range(10_000):
         first = -float(rng.uniform(0.05, 2.0)) if convex else float(rng.uniform(0.01, 4.0))
         b = float(rng.uniform(0.05, 2.0))
         laws.append(draw(rng, first, b))
         params.append({"a" if convex else "sigma2": first, "b": b})
-    res.checks += instances
+    res.checks += len(laws)
     for i in np.flatnonzero(~_domination_kernel(family, laws, params, 1e-10)):
         X = laws[i]
         res.fail(
@@ -264,11 +263,12 @@ def _domination_suite(name, family, seed=0, instances=10_000):
     return res
 
 
-def suite_lemma45(seed=0, instances=10_000):
+def suite_lemma45(seed=0):
     """Schur-style spreading check for E(sum - t)_+^2."""
     res = SuiteResult("lemma45")
     rng = np.random.default_rng(seed)
     by_n = {}
+    instances = 10_000
     for i in range(instances):
         n = int(rng.integers(2, 7))
         if i % 50 == 0:
@@ -376,12 +376,14 @@ def suite_dominance(seed=0, n=2):
     return res
 
 
-def monte_carlo_dominance_rows(seed=0, trials=1_000_000, n=100, xs=(2.0, 5.0, 10.0)):
+def monte_carlo_dominance_rows(seed=0, trials=1_000_000):
     """Empirical tails of a grid-difference martingale against every bound.
 
-    Differences are iid uniform on {-0.5, -0.25, 0, 0.25, 0.5}; the estimate
-    plus four standard errors must stay below each applicable bound.
+    n = 100 differences are iid uniform on {-0.5, -0.25, 0, 0.25, 0.5}; at
+    x = 2, 5 and 10 the estimate plus four standard errors must stay below
+    each applicable bound.
     """
+    n = 100
     grid = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
     var = float(np.mean(grid**2))
     b = float(grid.max())
@@ -392,7 +394,7 @@ def monte_carlo_dominance_rows(seed=0, trials=1_000_000, n=100, xs=(2.0, 5.0, 10
     cond_sym = MartingaleConditions.per_k(np.full(n, b), np.full(n, var))
 
     rows = []
-    for x in xs:
+    for x in (2.0, 5.0, 10.0):
         estimate, se = monte_carlo_tail(sampler, trials, x, seed=seed)
         upper = estimate + 4.0 * se
         bounds = {
@@ -447,27 +449,22 @@ _SUITES = {
 }
 
 
-def _keywords(fn):
-    return set(inspect.signature(fn).parameters) - {"seed"}
-
-
-def run_suite(name, seed=0, **kwargs):
+def run_suite(name, seed=0, n=None):
     """Run one named suite (or ``all``); returns a list of SuiteResult.
 
-    Keywords are passed to the suite, which must take them; under ``all``
-    each suite gets the keywords its own signature takes. A keyword no
-    selected suite takes raises ValueError.
+    ``n`` is the dominance suite's depth (default 2). Under ``all`` only that
+    suite gets it; a suite without a depth refuses it with ValueError.
     """
     suites = _SUITES if name == "all" else {name: _SUITES.get(name)}
     if None in suites.values():
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    unknown = set(kwargs).difference(*(_keywords(fn) for fn in suites.values()))
-    if unknown:
-        raise ValueError(f"suite {name!r} takes no keyword {', '.join(sorted(unknown))}")
+    depth = {} if n is None else {"n": n}
+    if depth and "dominance" not in suites:
+        raise ValueError(f"suite {name!r} takes no depth n")
     results = []
-    for fn in suites.values():
+    for key, fn in suites.items():
         start = time.perf_counter()
-        result = fn(seed=seed, **{k: v for k, v in kwargs.items() if k in _keywords(fn)})
+        result = fn(seed=seed, **(depth if key == "dominance" else {}))
         result.info["elapsed_s"] = time.perf_counter() - start
         results.append(result)
     return results

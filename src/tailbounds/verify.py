@@ -91,8 +91,9 @@ class TreeNode:
         if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("probs must be nonnegative and sum to 1")
         _check_centered(values, probs)
-        if self.children is not None and len(self.children) != values.size:
-            raise ValueError("need one child per support point")
+        kids = self.children
+        if kids is not None and (len(kids) != values.size or not all(isinstance(c, TreeNode) for c in kids)):
+            raise ValueError("need one TreeNode child per support point")
 
     @property
     def second_moment(self):
@@ -115,8 +116,8 @@ class MartingaleTree:
     _logps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be at least 1, got {self.depth}")
+        if not isinstance(self.depth, (int, np.integer)) or self.depth < 1:
+            raise ValueError(f"depth must be an integer of at least 1, got {self.depth!r}")
         if self.condition is not None and self.condition.n != self.depth:
             raise ValueError(f"condition has n={self.condition.n} but the tree has depth {self.depth}")
         # paths grow level by level, root first; paths that reach the same node

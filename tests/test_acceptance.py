@@ -183,7 +183,7 @@ def test_criterion_11_hull_necessity():
 def test_criterion_12_monte_carlo_dominance():
     with criterion(12, "1e6-trial Monte Carlo stays below every bound"):
         start = time.perf_counter()
-        rows = monte_carlo_dominance_rows(seed=SEED, trials=1_000_000, n=100, xs=(2.0, 5.0, 10.0))
+        rows = monte_carlo_dominance_rows(seed=SEED, trials=1_000_000)
         elapsed = time.perf_counter() - start
         assert len(rows) == 18  # 3 thresholds x 6 bounds
         bad = [r for r in rows if not r["ok"]]

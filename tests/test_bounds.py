@@ -524,6 +524,20 @@ class TestConfidenceInversion:
                 mu = invert_for_confidence(n, 0.0, delta)
                 assert 1.0 - delta ** (1.0 / n) <= mu < 1.0
 
+    def test_returns_one_when_mu_near_one_keeps_bound_above_delta(self):
+        # n = 1, knot 0.5: the hull at mu = 1 - 1e-12 is e * 1e-6 > delta
+        assert invert_for_confidence(1, 0.5, 1e-7) == 1.0
+
+    def test_equals_clopper_pearson_at_delta_over_e(self):
+        # each probe is e P{Bin(n, mu) <= k} at sample mean k / n
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(10 ** rng.uniform(0, 5))
+            k = int(rng.integers(0, n))
+            delta = float(10 ** rng.uniform(-8, math.log10(0.9)))
+            ref = stats.beta.ppf(1.0 - delta / math.e, k + 1, n - k)
+            assert abs(invert_for_confidence(n, k / n, delta) - ref) <= 1e-9, (n, k, delta)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             invert_for_confidence(10, 1.2, 0.05)

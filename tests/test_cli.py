@@ -11,8 +11,11 @@ import pytest
 
 from scipy import stats
 
+from tailbounds import cli
 from tailbounds.bounds import MartingaleConditions, comparison_hull, tail_bound_range
 from tailbounds.cli import main
+from tailbounds.fracmoment import margin_sweep
+from tailbounds.suites import SuiteResult
 
 
 def run_cli(args, capsys):
@@ -78,6 +81,23 @@ class TestBoundCommand:
         assert code == 0
         rows = parse_csv(out)
         assert [float(r["x"]) for r in rows] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+    def test_step_that_does_not_divide_the_range_warns(self, capsys):
+        argv = ["bound", "--theorem", "1.2", "--n", "3", "--p", "0.3",
+                "--x-min", "0", "--x-max", "1", "--x-step", "0.3"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert "does not divide" in err
+        assert [float(r["x"]) for r in parse_csv(out)] == pytest.approx([0.0, 0.3, 0.6, 0.9], abs=1e-15)
+
+    def test_last_point_past_x_max_by_rounding_is_clamped(self, capsys):
+        # 3 * 0.1 rounds to 0.30000000000000004, past x-max
+        argv = ["bound", "--theorem", "1.2", "--n", "3", "--p", "0.3",
+                "--x-min", "0", "--x-max", "0.3", "--x-step", "0.1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == ""
+        assert float(parse_csv(out)[-1]["x"]) == 0.3
 
     def test_bit_stable_output(self, capsys):
         args = ["bound", "--theorem", "1.2", "--n", "4", "--p", "0.3", "--x", "1.1"]
@@ -248,6 +268,8 @@ class TestHullCommand:
             ["lemma42", "--sigma2", "0.5", "--b", "1"],
             ["hull", "--atoms=-1:0.5,1:0.5", "--n", "0"],
             ["hull", "--atoms=-1:0.5,1:0.5", "--n", "-1"],
+            ["bound", "--theorem", "1.3", "--a", "1", "--x", "0.5"],
+            ["bound", "--theorem", "1.2", "--p", "0.3", "--n", "-2", "--x", "0.5"],
         ],
     )
     def test_missing_or_nonpositive_n_exit_2(self, argv, capsys):
@@ -269,6 +291,19 @@ class TestLemma42Command:
         assert {float(r["s"]) for r in rows} == {1.0, 2.0}
 
 
+    def test_violation_exits_1(self, monkeypatch, capsys):
+        def violated(S, s_values):
+            xs, lhs, rhs = margin_sweep(S, s_values)
+            return xs, rhs + 1.0, rhs
+
+        monkeypatch.setattr(cli, "margin_sweep", violated)
+        code, out, err = run_cli(["lemma42", "--p", "0.3", "--n", "2", "--s", "2"], capsys)
+        assert code == 1
+        assert "violation" in err
+        margins = [float(r["margin"]) for r in parse_csv(out)]
+        assert margins and margins == pytest.approx([1.0] * len(margins))
+
+
 class TestVerifyCommand:
     def test_fast_suite_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "lemma48", "--seed", "7"], capsys)
@@ -288,6 +323,16 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "n=0" in err
+
+    def test_failures_exit_1_with_counterexample_csv(self, monkeypatch, capsys):
+        res = SuiteResult("lemma48", checks=2)
+        res.fail(case="blowup", value=3.0)
+        monkeypatch.setattr(cli, "run_suite", lambda name, seed, n: [res])
+        code, out, _ = run_cli(["verify", "--suite", "lemma48"], capsys)
+        assert code == 1
+        head, *rows = out.splitlines()
+        assert head == "suite=lemma48 checks=2 failures=1"
+        assert parse_csv("\n".join(rows)) == [{"case": "blowup", "suite": "lemma48", "value": "3"}]
 
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -119,6 +119,21 @@ class TestTrees:
             MartingaleTree(TreeNode([-0.5, 0.5], [0.5, 0.5]), depth=1, condition=cond)
         assert MartingaleTree(TreeNode([-0.1, 0.1], [0.5, 0.5]), depth=1, condition=cond).depth == 1
 
+    def test_symmetric_condition_is_checked(self):
+        cond = MartingaleConditions.symmetric([0.5])
+        with pytest.raises(ValueError, match="above cap"):
+            MartingaleTree(TreeNode([-0.6, 0.6], [0.5, 0.5]), depth=1, condition=cond)
+        assert MartingaleTree(TreeNode([-0.5, 0.5], [0.5, 0.5]), depth=1, condition=cond).depth == 1
+
+    def test_rejects_children_that_are_not_nodes(self):
+        with pytest.raises(ValueError, match="TreeNode"):
+            TreeNode([-1.0, 1.0], [0.5, 0.5], children=(1, 2))
+
+    @pytest.mark.parametrize("depth", [2.5, 1.0])
+    def test_rejects_non_integer_depth(self, depth):
+        with pytest.raises(ValueError, match="integer"):
+            MartingaleTree(TreeNode([-1.0, 1.0], [0.5, 0.5]), depth=depth)
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_condition_must_match_depth(self, n):
         # too short leaves the last steps uncapped; too long caps steps the tree lacks
@@ -671,17 +686,13 @@ class TestRunSuite:
         assert res.failures == []
 
     def test_rejects_unknown_keyword(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run_suite("lemma48", bogus=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run_suite("all", bogus=1)
-        # the suite grids are fixed
+        # the suite grids and sizes are fixed
         for name, key in (("lemma42", "n_max"), ("lemma42", "p_grid"), ("lemma42", "s_grid"),
-                          ("dominance", "trees_per_cell"), ("dominance", "mc_trials")):
-            with pytest.raises(ValueError):
+                          ("dominance", "trees_per_cell"), ("dominance", "mc_trials"),
+                          ("lemma43", "instances"), ("lemma45", "instances")):
+            with pytest.raises(TypeError):
                 run_suite(name, **{key: 1})
-
-    def test_passes_keywords_through(self):
-        (res,) = run_suite("lemma43", instances=5)
-        assert res.checks == 5
-        assert not res.failures
