@@ -234,6 +234,13 @@ def _elementwise(fn, x):
     return np.array([fn(v) for v in np.asarray(x, dtype=np.float64).tolist()], dtype=np.float64)
 
 
+def _require_finite(**args):
+    """Raise ValueError naming the first argument that is NaN or infinite."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_x(x):
     if not (math.isfinite(x) if _is_scalar(x) else np.isfinite(x).all()):
         bad = x if _is_scalar(x) else np.asarray(x)[~np.isfinite(x)][0]
@@ -376,6 +383,7 @@ def hoeffding_tail_variance(n, sigma2, b, x):
     the rescaled (sigma^2/b^2, x/b); invariant under the b-rescaling by
     construction.
     """
+    _require_finite(sigma2=sigma2, b=b)
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not b > 0.0:
@@ -421,8 +429,11 @@ def mgf_bound(theta_specs, x):
     if not specs:
         raise ValueError("need at least one (sigma2, b) spec")
     for s2, b in specs:
+        _require_finite(sigma2=s2, b=b)
         if not (s2 > 0.0 and b > 0.0):
             raise ValueError(f"sigma2 and b must be positive, got ({s2}, {b})")
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if x <= 0.0:
         return 1.0
     top = sum(b for _, b in specs)
@@ -485,8 +496,8 @@ def fractional_moment_bound(T, s, x):
     with the expectation exact over the support. The first never exceeds the
     second; that ordering is enforced on every call.
     """
-    if not s >= 2.0:
-        raise ValueError(f"s must be at least 2, got {s}")
+    if not 2.0 <= s < math.inf:
+        raise ValueError(f"s must be at least 2 and finite, got {s}")
     S = T.survival()
     optimized = lhs_inf(S, s, x)
     hull_form = rhs_bound(log_concave_hull(S), s, x)
@@ -506,8 +517,11 @@ def exact_n1_range(a, b, x):
     Equals -a/(x - a) for 0 <= x <= b, attained by the two-point law on
     {a, b}; 1 for x <= 0 and 0 for x > b.
     """
+    _require_finite(a=a, b=b)
     if not (a < 0.0 < b):
         raise ValueError(f"need a < 0 < b, got ({a}, {b})")
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if x <= 0.0:
         return 1.0
     if x > b:
@@ -521,10 +535,13 @@ def exact_n1_variance(sigma2, b, x):
     Equals sigma2/(x^2 + sigma2) for 0 < x <= b, attained by
     eps(sigma2, x)-type atoms; 1 for x <= 0 and 0 for x > b.
     """
+    _require_finite(sigma2=sigma2, b=b)
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not b > 0.0:
         raise ValueError(f"b must be positive, got {b}")
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if x <= 0.0:
         return 1.0
     if x > b:
@@ -537,6 +554,7 @@ def exact_n1_variance(sigma2, b, x):
 
 def poisson_tail_rough(lam, x):
     """Rough Poisson upper-tail bound exp{x - (x + lam) log(1 + x/lam)}."""
+    _require_finite(lam=lam, x=x)
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if x < 0.0:
@@ -550,6 +568,7 @@ def paulauskas_g(lam, x):
     g(x) = (lam+x)^(-1/2) (1 + x/lam)^(frac(lam+x) - 1)
            * exp{x - (x + lam) log(1 + x/lam)}.
     """
+    _require_finite(lam=lam, x=x)
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if x < max(lam - 1.0, 1.0):

@@ -179,6 +179,9 @@ def _merge_close(support, logp):
 
     A gap above MERGE_REL_TOL * max(1, |prev|, |cur|) between sorted
     neighbours starts a new group, so chains of close points merge as one.
+    A group's value is v0 + sum w (v - v0), with v0 its first point and w its
+    normalized masses. The w need not sum to exactly 1 in floats, so this form
+    keeps a group of equal points, such as a lattice knot, exactly in place.
     """
     order = np.argsort(support, kind="stable")
     support = support[order]
@@ -186,9 +189,11 @@ def _merge_close(support, logp):
     scale = np.maximum(1.0, np.maximum(np.abs(support[:-1]), np.abs(support[1:])))
     new_group = np.concatenate(([True], np.diff(support) > MERGE_REL_TOL * scale))
     starts = np.flatnonzero(new_group)
+    group = np.cumsum(new_group) - 1
     out_lp = np.logaddexp.reduceat(logp, starts)
-    w = np.exp(logp - out_lp[np.cumsum(new_group) - 1])
-    return np.add.reduceat(w * support, starts), out_lp
+    w = np.exp(logp - out_lp[group])
+    first = support[starts]
+    return first + np.add.reduceat(w * (support - first[group]), starts), out_lp
 
 
 def convolve(d1, d2):

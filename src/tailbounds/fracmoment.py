@@ -34,6 +34,12 @@ __all__ = [
 MARGIN_TOL = 1e-9
 
 
+def _check_order(s):
+    """Refuse a moment order s that is not a positive finite number."""
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
+
+
 def _segment_integral(S, s, ts):
     """Exact I_s(t) for an array of t values, vectorized over segments.
 
@@ -50,8 +56,9 @@ def _segment_integral(S, s, ts):
 
 def step_integral_moment(S, s, t):
     """Exact value of ``integral_t^inf s (z - t)^(s-1) B(z) dz`` for s > 0."""
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s}")
+    _check_order(s)
+    if math.isnan(t):
+        raise ValueError("threshold t must not be NaN")
     return float(_segment_integral(S, s, np.array([float(t)]))[0])
 
 
@@ -75,8 +82,7 @@ def lhs_inf_sweep(S, s, xs):
     first step lands on the closed form u = -sum p a / sum p a^2 over the
     atoms p at offsets a = x_i - x that are active in the piece.
     """
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s}")
+    _check_order(s)
     xs = np.asarray(xs, dtype=np.float64)
     if np.isnan(xs).any():
         raise ValueError("thresholds must not be NaN")
@@ -142,8 +148,7 @@ def _convex_min(S, s, gap, table):
 
 def moment_constant(s):
     """``e^s s^-s Gamma(s+1)``; exact factorials keep integer s bit-tight."""
-    if not s > 0.0:
-        raise ValueError(f"s must be positive, got {s}")
+    _check_order(s)
     if float(s).is_integer() and s <= 20:
         gamma = float(math.factorial(int(s)))
     else:

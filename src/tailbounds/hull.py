@@ -92,6 +92,8 @@ def log_concave_hull(S):
 def log_eval_hull(h, x):
     """log B0(x): 0 left of the first knot, -inf strictly right of the last."""
     x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("threshold x must not be NaN")
     y = np.interp(x, h.knots, h.neg_log)
     out = np.where(x > h.knots[-1], np.inf, y)
     out = np.where(x < h.knots[0], 0.0, out)
@@ -113,6 +115,8 @@ def linear_envelope_eval(S, x):
     last. Always >= the log-linear hull.
     """
     x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("threshold x must not be NaN")
     vals = S.values
     out = np.interp(x, S.knots, vals)
     out = np.where(x > S.knots[-1], 0.0, out)

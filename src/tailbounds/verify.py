@@ -64,8 +64,13 @@ def ceil_safe(y):
     return math.ceil(y - 1e-9)
 
 
-def _check_centered(values, probs):
-    """Raise unless every law (rows of the last axis) has |mean| <= 1e-12 max(1, max|v|)."""
+def _check_law(values, probs):
+    """Raise unless each row of the last axis is a centered law.
+
+    Masses are >= 0 and sum to 1 within 1e-12; |mean| <= 1e-12 max(1, max|v|).
+    """
+    if not ((probs >= 0).all() and (np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12).all()):
+        raise ValueError("probabilities must be nonnegative and sum to 1")
     scale = np.maximum(1.0, np.abs(values).max(axis=-1))
     if not (np.abs((values * probs).sum(axis=-1)) <= 1e-12 * scale).all():
         raise ValueError("conditional mean must vanish (martingale differences)")
@@ -88,9 +93,7 @@ class TreeNode:
             raise ValueError("values and probs must be matching nonempty 1-D arrays")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
-            raise ValueError("probs must be nonnegative and sum to 1")
-        _check_centered(values, probs)
+        _check_law(values, probs)
         kids = self.children
         if kids is not None and (len(kids) != values.size or not all(isinstance(c, TreeNode) for c in kids)):
             raise ValueError("need one TreeNode child per support point")
@@ -268,9 +271,7 @@ def _two_point_paths(values, q_hi):
     Returns two arrays of shape (..., 2**n), leaves in left-to-right order.
     """
     probs = np.stack([1.0 - q_hi, q_hi], axis=-1)
-    if not np.all((q_hi >= 0.0) & (q_hi <= 1.0)):
-        raise ValueError("node probabilities must lie in [0, 1]")
-    _check_centered(values, probs)
+    _check_law(values, probs)
     n = int(np.log2(values.shape[-2] + 1))
     leaf = np.arange(2**n)
     k = np.arange(n)[:, None]
@@ -464,19 +465,18 @@ def schur_check(xs, t, slack=1e-10):
     return bool(_schur_kernel(xs[None], np.array([t]), slack)[0])
 
 
-def _domination_kernel(family, laws, params, slack):
-    """``convex_domination_check`` verdicts for a batch of laws and ``params`` dicts."""
+def _domination_kernel(family, support, probs, first, b, slack):
+    """``convex_domination_check`` verdicts for a batch of laws.
+
+    ``support`` and ``probs`` (B, K) hold one law per row, ``first`` (B,) its
+    a (family ``"convex"``) or sigma2 and ``b`` (B,) its b. A centered law's
+    support brackets 0, so slots with value 0 and mass 0 pad a row inertly.
+    """
     if family not in ("convex", "moment", "symmetric"):
         raise ValueError(f"unknown family {family!r}")
-    # a centered law's support brackets 0, so padding with value 0 and mass 0 is inert
-    support, probs = np.zeros((2, len(laws), max((X.support.size for X in laws), default=1)))
-    for i, X in enumerate(laws):
-        support[i, : X.support.size] = X.support
-        probs[i, : X.support.size] = X.probs
-    _check_centered(support, probs)
-    b = np.array([p["b"] for p in params], dtype=np.float64)
+    _check_law(support, probs)
     if family == "convex":
-        a = np.array([p["a"] for p in params], dtype=np.float64)
+        a = first
         if not ((a < 0.0) & (b > 0.0)).all():
             raise ValueError("need a < 0 < b")
         if (support < a[:, None] - 1e-12).any() or (support > b[:, None] + 1e-12).any():
@@ -485,7 +485,7 @@ def _domination_kernel(family, laws, params, slack):
         ts = np.linspace(a - 0.5 * (b - a), b + 0.25 * (b - a), 41).T
         powers, hs = np.array([1.0]), np.array([])
     else:
-        sigma2 = np.array([p["sigma2"] for p in params], dtype=np.float64)
+        sigma2 = first
         if not ((sigma2 > 0.0) & (b > 0.0)).all():
             raise ValueError("need sigma2 > 0 and b > 0")
         if (support > b[:, None] + 1e-12).any():
@@ -526,7 +526,8 @@ def convex_domination_check(family, X, params, slack=1e-10):
     exp(h z). Precondition violations raise; the check returns whether every
     test function is dominated.
     """
-    return bool(_domination_kernel(family, [X], [params], slack)[0])
+    first, b = np.array([[params["a" if family == "convex" else "sigma2"]], [params["b"]]], dtype=np.float64)
+    return bool(_domination_kernel(family, X.support[None], X.probs[None], first, b, slack)[0])
 
 
 # --- log-concavity of convolutions ----------------------------------------------
@@ -682,13 +683,30 @@ def _random_points(rng, k_max, lo, hi, gap):
     return pts[np.concatenate(([True], np.diff(pts) > gap))]
 
 
-def _random_centered_points(rng, lo, b):
-    """2 to 7 flat-simplex points in [lo, b], centered, and the scale that keeps them <= b."""
+def _random_centered_law(rng, family, first, b):
+    """Random mean-zero law on at most 7 points, as a (2, 7) row of support and masses.
+
+    Slots past the law hold value 0 and mass 0. For ``"convex"`` the support
+    lies in [a, b], a = ``first``; otherwise below b, with second moment
+    below sigma2 = ``first``.
+    """
+    convex = family == "convex"
+    lo = first if convex else -3.0 * b
     # keep points apart so the support stays valid after centering
     pts = _random_points(rng, 7, lo, b, 1e-6 * max(1.0, abs(lo), abs(b)))
     probs = rng.dirichlet(np.ones(pts.size))
     shifted = pts - float(probs @ pts)
-    return shifted, probs, min(1.0, b / shifted[-1]) if shifted[-1] > 0 else 1.0
+    c = min(1.0, b / shifted[-1]) if shifted[-1] > 0 else 1.0
+    if convex:
+        if shifted[0] < 0:
+            c = min(c, first / shifted[0])
+    else:
+        second = float(probs @ shifted**2)
+        if second > 0:
+            c = min(c, math.sqrt(first / second))
+    row = np.zeros((2, 7))
+    row[:, : pts.size] = shifted * c, probs
+    return row
 
 
 def random_centered_dist_in_range(rng, a, b):
@@ -698,16 +716,9 @@ def random_centered_dist_in_range(rng, a, b):
     and the support is shrunk back into the box, so the precondition holds
     exactly.
     """
-    shifted, probs, c = _random_centered_points(rng, a, b)
-    if shifted[0] < 0:
-        c = min(c, a / shifted[0])
-    return DiscreteDist.from_probs(shifted * c, probs)
+    return DiscreteDist.from_probs(*_random_centered_law(rng, "convex", a, b))
 
 
 def random_centered_dist_bounded(rng, sigma2, b):
     """Random mean-zero law with support below b and second moment below sigma2."""
-    shifted, probs, c = _random_centered_points(rng, -3.0 * b, b)
-    second = float(probs @ shifted**2)
-    if second > 0:
-        c = min(c, math.sqrt(sigma2 / second))
-    return DiscreteDist.from_probs(shifted * c, probs)
+    return DiscreteDist.from_probs(*_random_centered_law(rng, "moment", sigma2, b))

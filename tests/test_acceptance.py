@@ -16,6 +16,7 @@ import pytest
 
 import tailbounds as tb
 from tailbounds.suites import monte_carlo_dominance_rows, run_suite
+from tailbounds.verify import _random_centered_law
 
 SEED = 20240808
 
@@ -118,19 +119,19 @@ def test_criterion_06_exact_n1_extremality():
             atom = tb.two_point_from_variance(sigma2, x)
             assert abs(atom.p_hi - tb.exact_n1_variance(sigma2, max(x, 1.0), x)) < 1e-12
         # 1e5-sample random search stays below the formulas
+        # (the laws of random_centered_dist_in_range and _bounded, as padded rows)
         rng = np.random.default_rng(SEED)
         a, b, sigma2 = -1.0, 1.0, 0.5
-        xs = (0.25, 0.5, 0.75, 1.0)
-        for _ in range(50_000):
-            X = tb.random_centered_dist_in_range(rng, a, b)
-            for x in xs:
-                tail = float(X.probs[X.support >= x].sum())
-                assert tail <= tb.exact_n1_range(a, b, x) + 1e-12
-        for _ in range(50_000):
-            Y = tb.random_centered_dist_bounded(rng, sigma2, b)
-            for x in xs:
-                tail = float(Y.probs[Y.support >= x].sum())
-                assert tail <= tb.exact_n1_variance(sigma2, b, x) + 1e-12
+        xs = np.array([0.25, 0.5, 0.75, 1.0])
+        ranged = np.array([_random_centered_law(rng, "convex", a, b) for _ in range(50_000)])
+        bounded = np.array([_random_centered_law(rng, "moment", sigma2, b) for _ in range(50_000)])
+        for rows, exact in (
+            (ranged, [tb.exact_n1_range(a, b, x) for x in xs]),
+            (bounded, [tb.exact_n1_variance(sigma2, b, x) for x in xs]),
+        ):
+            # P{X >= x}, one row per law and one column per threshold
+            tails = (rows[:, None, 1] * (rows[:, None, 0] >= xs[:, None])).sum(axis=-1)
+            assert (tails <= np.array(exact) + 1e-12).all()
 
 
 def test_criterion_07_hull_properties():

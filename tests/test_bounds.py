@@ -578,6 +578,29 @@ class TestNonFiniteInput:
                 bound(sym, math.nan)
 
 
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [
+        (mgf_bound, ([(1, 1), (0.5, 2)], math.nan), "x"),
+        (mgf_bound, ([(0.5, 1.0)] * 3, math.nan), "x"),
+        (mgf_bound, ([(math.inf, 1.0)] * 3, 1.0), "sigma2"),
+        (exact_n1_range, (-math.inf, 1.0, 0.5), "a"),
+        (exact_n1_range, (-1.0, 1.0, math.nan), "x"),
+        (exact_n1_variance, (1.0, 1.0, math.nan), "x"),
+        (poisson_tail_rough, (1.0, math.nan), "x"),
+        (moment_constant, (math.inf,), "s"),
+        (fractional_moment_bound, (iid_sum_dist(two_point_from_range(-1.0, 1.0), 3), math.inf, 1.0), "s"),
+        (paulauskas_g, (1.0, math.nan), "x"),
+        (hoeffding_tail_variance, (5, 1.0, math.inf, 0.5), "b"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_non_finite_argument_is_named(fn, args, name):
+    # each used to return NaN, a wrong number, or an error about another argument
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        fn(*args)
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 

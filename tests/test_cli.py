@@ -194,7 +194,8 @@ class TestBoundCommand:
 # stdout of `tailbounds bound` before the bound layer took threshold arrays
 # (each grid has thresholds below the support, on knots and past the top knot),
 # of `tailbounds hull` before the hull took one exponential for scalars and
-# arrays, and of `tailbounds lemma42` once its hull side became one array call
+# arrays (hull_atoms_n3.csv since convolution keeps lattice knots exact), and
+# of `tailbounds lemma42` once its hull side became one array call
 GOLDEN = {
     "bound_t11.csv": ["bound", "--theorem", "1.1", "--n", "5", "--sigma2", "1", "--b", "1",
                       "--x-min", "-6", "--x-max", "6", "--x-step", "0.5"],
@@ -250,6 +251,13 @@ class TestHullCommand:
         rows = parse_csv(out)
         assert code == 0
         assert all(int(r["on_hull"]) == 1 for r in rows)
+
+    def test_lattice_knots_stay_integers(self, capsys):
+        # 299 rounds of merging equal lattice points used to drift a knot to 296.0000000000569
+        code, out, _ = run_cli(["hull", "--atoms=-1:0.5,1:0.5", "--n", "300"], capsys)
+        xs = [float(r["x"]) for r in parse_csv(out)]
+        assert code == 0 and len(xs) > 100
+        assert all(x.is_integer() and x % 2 == 0 for x in xs)
 
     def test_single_atom_pair(self, capsys):
         code, out, _ = run_cli(["hull", "--sigma2", "0.5", "--b", "1", "--n", "1"], capsys)

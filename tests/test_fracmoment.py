@@ -115,6 +115,13 @@ class TestStepIntegral:
         with pytest.raises(ValueError):
             step_integral_moment(S, 0.0, 0.0)
 
+    def test_rejects_nan_threshold(self):
+        S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 3)
+        with pytest.raises(ValueError, match="NaN"):
+            step_integral_moment(S, 2.0, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            rhs_bound(log_concave_hull(S), 2.0, np.array([0.5, math.nan]))
+
 
 class TestInfimum:
     def test_flat_region_fair_coin(self):

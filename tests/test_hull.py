@@ -149,6 +149,16 @@ class TestHullEvaluation:
         scalar = np.array([eval_hull(h, float(x)) for x in xs])
         assert eval_hull(h, xs).tobytes() == scalar.tobytes()
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan])])
+    def test_rejects_nan_threshold(self, x):
+        # as StepSurvival.log_eval does; np.interp would carry the NaN through
+        S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 3)
+        for evaluate in (log_eval_hull, eval_hull):
+            with pytest.raises(ValueError, match="NaN"):
+                evaluate(log_concave_hull(S), x)
+        with pytest.raises(ValueError, match="NaN"):
+            linear_envelope_eval(S, x)
+
 
 class TestLinearEnvelope:
     def test_arithmetic_midpoint(self):

@@ -19,6 +19,7 @@ from tailbounds.bounds import (
     MartingaleConditions,
     hoeffding_H,
 )
+from tailbounds import suites
 from tailbounds.suites import run_suite
 from tailbounds.verify import (
     MartingaleTree,
@@ -26,6 +27,7 @@ from tailbounds.verify import (
     TreeNode,
     _domination_kernel,
     _path_tails,
+    _random_centered_law,
     _two_point_nodes,
     _two_point_paths,
     c1_search,
@@ -481,19 +483,28 @@ class TestConvexDomination:
         # a mean of 5e-13 is inside the 1e-12 centering tolerance but lifts the
         # hinges left of the support 5e-13 above the atom's, beyond the slack
         rng = np.random.default_rng(17)
-        laws, params = [], []
+        a, b, rows = np.zeros(40), np.zeros(40), np.zeros((40, 2, 7))
         for i in range(40):
-            a, b = -float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.1, 1.5))
-            X = random_centered_dist_in_range(rng, a, b)
+            a[i], b[i] = -float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.1, 1.5))
+            rows[i] = _random_centered_law(rng, "convex", a[i], b[i])
             if i % 3 == 0:
-                X = DiscreteDist(X.support + 5e-13, X.logp)
-            laws.append(X)
-            params.append({"a": a, "b": b})
-        verdicts = _domination_kernel("convex", laws, params, 1e-13)
+                rows[i, 0] += 5e-13 * (rows[i, 1] > 0)
+        support, probs = rows[:, 0], rows[:, 1]
+        verdicts = _domination_kernel("convex", support, probs, a, b, 1e-13)
         np.testing.assert_array_equal(verdicts, np.arange(40) % 3 != 0)
-        singles = [convex_domination_check("convex", *case, slack=1e-13) for case in zip(laws, params)]
+        singles = [
+            convex_domination_check("convex", DiscreteDist.from_probs(*row), {"a": a_i, "b": b_i}, slack=1e-13)
+            for row, a_i, b_i in zip(rows, a, b)
+        ]
         np.testing.assert_array_equal(verdicts, singles)
-        assert all(_domination_kernel("convex", laws, params, 1e-10))
+        assert all(_domination_kernel("convex", support, probs, a, b, 1e-10))
+
+    def test_kernel_refuses_a_row_that_is_not_a_law(self):
+        # suite rows reach the kernel without passing through DiscreteDist
+        support = np.array([[-0.5, 0.5, 0.0]])
+        for probs in ([0.5, 0.5 + 1e-9, 0.0], [0.6, 0.6, -0.2]):
+            with pytest.raises(ValueError, match="sum to 1"):
+                _domination_kernel("convex", support, np.array([probs]), np.array([-1.0]), np.array([1.0]), 0.0)
 
     def test_precondition_violations_raise(self):
         X = DiscreteDist.from_probs([-1.0, 1.0], [0.5, 0.5])
@@ -626,6 +637,28 @@ class TestRandomGenerators:
             assert X.support[-1] <= b + 1e-12
             assert float(X.probs @ X.support**2) <= sigma2 * (1 + 1e-12)
 
+
+    @pytest.mark.parametrize("name, family", [("lemma43", "convex"), ("lemma44", "moment"), ("lemma46", "symmetric")])
+    def test_suite_rows_meet_the_family_preconditions(self, name, family, monkeypatch):
+        # the suite's rows reach the kernel without passing through DiscreteDist
+        seen = []
+
+        def kernel(*args):
+            seen.append(args)
+            return _domination_kernel(*args)
+
+        monkeypatch.setattr(suites, "_domination_kernel", kernel)
+        run_suite(name, seed=0)
+        ((kernel_family, support, probs, first, b, _),) = seen
+        assert kernel_family == family and support.shape == probs.shape == (10_000, 7)
+        for first_i, b_i, row in zip(first, b, np.stack([support, probs], axis=1)):
+            X = DiscreteDist.from_probs(*row)
+            assert abs(X.mean) <= 1e-12 * max(1.0, np.abs(X.support).max())
+            assert X.support[-1] <= b_i + 1e-12
+            if family == "convex":
+                assert X.support[0] >= first_i - 1e-12
+            else:
+                assert float(X.probs @ X.support**2) <= first_i * (1 + 1e-12)
 
     @pytest.mark.parametrize(
         "draw, params, digest",
