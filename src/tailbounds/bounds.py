@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    _require_count,
+    _require_finite,
     gaussian_survival,
     iid_sum_survival,
     two_point_from_variance,
@@ -86,8 +88,7 @@ class MartingaleConditions:
     ps: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        _require_count(self.n)
         for name in ("bs", "sigma2s", "ps"):
             arr = getattr(self, name)
             if arr is not None:
@@ -234,13 +235,6 @@ def _elementwise(fn, x):
     return np.array([fn(v) for v in np.asarray(x, dtype=np.float64).tolist()], dtype=np.float64)
 
 
-def _require_finite(**args):
-    """Raise ValueError naming the first argument that is NaN or infinite."""
-    for name, value in args.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _check_x(x):
     if not (math.isfinite(x) if _is_scalar(x) else np.isfinite(x).all()):
         bad = x if _is_scalar(x) else np.asarray(x)[~np.isfinite(x)][0]
@@ -371,6 +365,7 @@ def _hoeffding_power(n, a, p):
 
 def hoeffding_tail_range(n, p, x):
     """Product bound H^n(p + x/n; p) under the range condition at common p."""
+    _require_count(n)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0,1), got {p}")
     return _elementwise(lambda v: _hoeffding_power(n, p + v / n, p), x)
@@ -383,6 +378,7 @@ def hoeffding_tail_variance(n, sigma2, b, x):
     the rescaled (sigma^2/b^2, x/b); invariant under the b-rescaling by
     construction.
     """
+    _require_count(n)
     _require_finite(sigma2=sigma2, b=b)
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
@@ -604,14 +600,22 @@ def invert_for_confidence(n, sample_mean, delta):
     the largest mu for which the range-condition bound on the event "a
     mean-mu sample looks this small" still reaches delta: the bound is
     evaluated for the reflected differences (each in [-(1 - mu), mu], i.e.
-    p_k = 1 - mu) at the threshold x = n (mu - sample_mean), and mu is found
-    by bisection. Each probe is e P{Bin(n, 1 - mu) >= n (1 - sample_mean)}
-    on the hull, O(1) in n. Returns 1 if even mu -> 1 keeps the bound above
-    delta.
+    p_k = 1 - mu) at the threshold x = n (mu - sample_mean). Each probe is
+    e P{Bin(n, 1 - mu) >= n (1 - sample_mean)} on the hull, O(1) in n.
+    Returns 1 if even mu -> 1 keeps the bound above delta.
+
+    The seven spot-check probes bracket the limit; a bracketed secant then
+    shrinks the bracket [lo, hi], with bound(lo) >= delta > bound(hi), to
+    width 1e-9 and returns lo. Each secant probe is a regula-falsi step on
+    log bound - log delta, held at least 5e-10 inside the bracket; an end
+    kept for a second step in a row has its value scaled down (Illinois, by
+    the Anderson-Bjorck factor), and a probe whose bound underflows to 0
+    halves the bracket instead. A call takes about 15 probes in all, where
+    bisection to the same width takes 36.
 
     For an integer k = n sample_mean < n the probe is e P{Bin(n, mu) <= k},
     so the limit is the Clopper-Pearson upper limit at level delta / e: the
-    1 - delta / e quantile of Beta(k + 1, n - k), to the 1e-9 bisection
+    1 - delta / e quantile of Beta(k + 1, n - k), to the 1e-9 bracket
     tolerance.
 
     The bound decreases in mu; that monotonicity is spot-checked on every
@@ -621,9 +625,8 @@ def invert_for_confidence(n, sample_mean, delta):
         raise ValueError(f"sample_mean must lie in [0, 1], got {sample_mean}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _require_count(n)
     n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     if sample_mean >= 1.0:
         return 1.0
 
@@ -631,8 +634,7 @@ def invert_for_confidence(n, sample_mean, delta):
         return _confidence_bound(n, mu, sample_mean)
 
     # mu = 0 and mu = 1 would make Bin(n, 1 - mu) degenerate
-    hi = 1.0 - 1e-12
-    probes = np.linspace(max(sample_mean, 1e-12), hi, 7)
+    probes = np.linspace(max(sample_mean, 1e-12), 1.0 - 1e-12, 7).tolist()
     vals = [bound(m) for m in probes]
     if any(b - a > 1e-9 for a, b in zip(vals, vals[1:])):
         raise RuntimeError("confidence bound is not decreasing in mu")
@@ -640,11 +642,41 @@ def invert_for_confidence(n, sample_mean, delta):
         return 1.0
     if vals[0] < delta:
         return float(sample_mean)
-    lo = sample_mean
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if bound(mid) >= delta:
-            lo = mid
+    i = next(j for j, v in enumerate(vals) if v < delta)
+    lo, hi = probes[i - 1], probes[i]
+    log_delta = math.log(delta)
+
+    def excess(v):
+        return math.log(v) - log_delta if v > 0.0 else -math.inf
+
+    f_lo, f_hi = excess(vals[i - 1]), excess(vals[i])
+    tol = 1e-9
+    side = 0  # +1 after a secant step that moved lo, -1 after one that moved hi
+    while hi - lo > tol:
+        if f_hi == -math.inf:
+            # the bound underflowed at hi: halve, then restart the secant
+            mu, side = 0.5 * (lo + hi), 0
         else:
-            hi = mid
+            mu = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            mu = min(max(mu, lo + 0.5 * tol), hi - 0.5 * tol)
+        v = bound(mu)
+        f = excess(v)
+        if v >= delta:
+            if side == 1:
+                f_hi *= _anderson_bjorck(f, f_lo)
+            lo, f_lo, side = mu, f, 1
+        else:
+            if side == -1:
+                f_lo *= _anderson_bjorck(f, f_hi)
+            hi, f_hi, side = mu, f, -1
     return lo
+
+
+def _anderson_bjorck(f_new, f_old):
+    """Illinois scale for the bracket end that a secant step kept twice in a row.
+
+    Anderson and Bjorck's 1 - f_new / f_old where it is positive, else the
+    plain Illinois 1/2; f_old is the value at the end that just moved.
+    """
+    m = 1.0 - f_new / f_old if f_old != 0.0 else 0.0
+    return m if m > 0.0 else 0.5

@@ -34,7 +34,18 @@ MERGE_REL_TOL = 1e-9
 
 _NEG_INF = float("-inf")
 
-_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+def _require_finite(**args):
+    """Raise ValueError naming the first argument that is NaN or infinite."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_count(n):
+    """Raise ValueError naming ``n`` unless it is a whole number >= 1."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"n must be a positive integer, got {n}")
 
 
 def _reverse_tail_logsum(logp):
@@ -85,6 +96,7 @@ def two_point_from_variance(sigma2, b):
     Degenerate inputs (``sigma2 <= 0`` or ``b <= 0``) are rejected rather than
     treated as point masses.
     """
+    _require_finite(sigma2=sigma2, b=b)
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not b > 0.0:
@@ -98,6 +110,7 @@ def two_point_from_range(a, b):
     Mean zero forces ``P{b} = -a / (b - a)``; the variance comes out as
     ``-a*b``.
     """
+    _require_finite(a=a, b=b)
     if not a < 0.0:
         raise ValueError(f"a must be negative, got {a}")
     if not b > 0.0:
@@ -212,19 +225,20 @@ def iid_sum_dist(d, n):
     """Law of a sum of ``n`` independent copies of a two-point atom.
 
     Support points are ``k*v_hi + (n-k)*v_lo``; masses are binomial, with
-    log C(n, k) a difference of log-gamma values. Its absolute error grows
-    like eps n log n, so from n ~ 735 some (n, p) fail the 1e-12
+    log C(n, k) = lg[n] - lg[k] - lg[n - k] read off one array of
+    lg[i] = log(i!), one ``math.lgamma`` call per atom. Its absolute error
+    grows like eps n log n, so from n ~ 735 some (n, p) fail the 1e-12
     normalization check of ``DiscreteDist`` with ``ValueError``.
     ``binomial_log_survival`` builds no sum and holds at any n.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _require_count(n)
     n = int(n)
     k = np.arange(n + 1)
     support = k * d.v_hi + (n - k) * d.v_lo
     lp_hi = math.log(d.p_hi)
     lp_lo = math.log1p(-d.p_hi)
-    logc = _lgamma(n + 1.0) - _lgamma(k + 1.0) - _lgamma(n - k + 1.0)
+    lg = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
+    logc = lg[n] - lg - lg[::-1]
     logp = logc + k * lp_hi + (n - k) * lp_lo
     return DiscreteDist(support, logp)
 
@@ -326,7 +340,12 @@ def iid_sum_survival(d, n):
 
 
 def gaussian_survival(x):
-    """Standard normal upper tail 1 - Phi(x) via the complementary error function."""
+    """Standard normal upper tail 1 - Phi(x) via the complementary error function.
+
+    Infinite ``x`` reads the limits 0 and 1; NaN raises ValueError.
+    """
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
@@ -392,6 +411,7 @@ def poisson_log_survival(lam, k):
     pmf term next to the mean and walks away from it by the ratios
     lam/(j + 1) up or j/lam down, until a term no longer changes the sum.
     """
+    _require_finite(lam=lam)
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     k = int(k)

@@ -4,8 +4,13 @@ The hull of a step survival B is the minimal function B0 >= B whose negative
 logarithm is convex. On the knots this is the lower convex hull of the points
 (x_i, -log B(x_i)), which a single monotone-chain sweep produces in O(m);
 between knots it is the log-linear interpolation, 1 left of the first knot and
-0 strictly right of the last. Poisson and binomial survivals are log-concave,
-so their hulls need no sweep and are evaluated lazily, one query at a time.
+0 strictly right of the last. The sweep keeps every knot up to the first
+triple that fails its convexity test, so that test runs over all consecutive
+triples in one numpy pass and the Python loop starts at the first failure; on
+a log-concave survival, such as every materialized binomial sum, it does not
+run at all. Poisson and binomial survivals are log-concave, so their hulls
+can also skip the materialized knots and be evaluated lazily, one query at a
+time.
 """
 
 import math
@@ -62,28 +67,37 @@ class LogLinearHull:
         return np.exp(-self.neg_log)
 
 
+def _pops(ox, oy, ax, ay, x, y):
+    """Whether the chain pops (ax, ay) when (x, y) arrives after (ox, oy).
+
+    It pops while the middle point sits above the chord of its neighbours by
+    more than the convexity slack. Scalars or arrays of triples alike.
+    """
+    cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+    # cross = -(distance of the middle point above chord) * (x - ox)
+    return cross < -_CONVEXITY_SLACK * (x - ox)
+
+
 def log_concave_hull(S):
     """Lower convex hull of ``(knot, -log B(knot))`` by a monotone-chain sweep.
 
     The point set is already sorted by x, so one pass suffices: a point is
     popped while it sits above the chord of its neighbours by more than the
-    convexity slack.
+    convexity slack. Up to the first consecutive triple that fails this test
+    the sweep pops nothing, so one vectorized pass of the same test over all
+    triples finds that prefix and the loop sweeps only the knots after it.
+    The knots are the ones the full loop keeps, bit for bit.
     """
     xs = S.knots
     ys = -S.log_values
-    keep_x = [xs[0]]
-    keep_y = [ys[0]]
-    for x, y in zip(xs[1:], ys[1:]):
-        while len(keep_x) >= 2:
-            ox, oy = keep_x[-2], keep_y[-2]
-            ax, ay = keep_x[-1], keep_y[-1]
-            cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
-            # cross = -(distance of the middle point above chord) * (x - ox)
-            if cross < -_CONVEXITY_SLACK * (x - ox):
-                keep_x.pop()
-                keep_y.pop()
-            else:
-                break
+    fails = np.flatnonzero(_pops(xs[:-2], ys[:-2], xs[1:-1], ys[1:-1], xs[2:], ys[2:]))
+    start = int(fails[0]) + 2 if fails.size else xs.size
+    keep_x = xs[:start].tolist()
+    keep_y = ys[:start].tolist()
+    for x, y in zip(xs[start:].tolist(), ys[start:].tolist()):
+        while len(keep_x) >= 2 and _pops(keep_x[-2], keep_y[-2], keep_x[-1], keep_y[-1], x, y):
+            keep_x.pop()
+            keep_y.pop()
         keep_x.append(x)
         keep_y.append(y)
     return LogLinearHull(np.array(keep_x), np.array(keep_y))

@@ -19,6 +19,7 @@ import numpy as np
 from .distributions import (
     DiscreteDist,
     TwoPointDist,
+    _require_finite,
     binomial_log_survival,
     poisson_survival,
 )
@@ -605,6 +606,7 @@ def hull_necessity_ratio(sigma2):
     Equals (1 + sigma2)/sigma2 and blows up as sigma2 -> 0: the raw survival
     cannot replace its hull in the bounds.
     """
+    _require_finite(sigma2=sigma2)
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     return (1.0 + sigma2) / sigma2

@@ -12,16 +12,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tailbounds import bounds
 from tailbounds.distributions import (
     DiscreteDist,
     gaussian_survival,
     iid_sum_dist,
     iid_sum_survival,
+    poisson_survival,
     two_point_from_range,
     two_point_from_variance,
 )
 from tailbounds.hull import log_concave_hull
 from tailbounds.fracmoment import moment_constant
+from tailbounds.verify import hull_necessity_ratio
 from tailbounds.bounds import (
     RANGE_CONST,
     RANGE_POISSON_CONST,
@@ -544,6 +547,31 @@ class TestConfidenceInversion:
         with pytest.raises(ValueError):
             invert_for_confidence(10, 0.5, 1.5)
 
+    def test_secant_probes_and_final_bracket(self, monkeypatch):
+        exact = bounds._confidence_bound
+        probes = []
+
+        def counted(n, mu, sample_mean):
+            probes.append(mu)
+            return exact(n, mu, sample_mean)
+
+        monkeypatch.setattr(bounds, "_confidence_bound", counted)
+        rng = np.random.default_rng(14)
+        cases = [(1, 0.0, d) for d in (1e-12, 0.05, 0.5, 0.99, 1.0 - 1e-9)]
+        cases += [(n, 0.0, d) for n in (10, 10**4, 10**7) for d in (1e-12, 0.05, 1.0 - 1e-9)]
+        for _ in range(300):
+            n = int(10 ** rng.uniform(0, 7))
+            k = int(rng.integers(0, n))
+            cases.append((n, k / n, float(10 ** rng.uniform(-12, math.log10(0.99)))))
+        for n, mean, delta in cases:
+            probes.clear()
+            mu = invert_for_confidence(n, mean, delta)
+            assert len(probes) <= 24, (n, mean, delta, len(probes))
+            if mean < mu < 1.0:
+                # the last lo of the bracket, and its hi no more than 1e-9 above
+                assert exact(n, mu, mean) >= delta, (n, mean, delta)
+                assert exact(n, min(mu + 1e-9, 1.0 - 1e-12), mean) < delta, (n, mean, delta)
+
 
 class TestNonFiniteInput:
     def test_range_condition_nan_p(self):
@@ -592,6 +620,11 @@ class TestNonFiniteInput:
         (fractional_moment_bound, (iid_sum_dist(two_point_from_range(-1.0, 1.0), 3), math.inf, 1.0), "s"),
         (paulauskas_g, (1.0, math.nan), "x"),
         (hoeffding_tail_variance, (5, 1.0, math.inf, 0.5), "b"),
+        (two_point_from_variance, (math.inf, 1.0), "sigma2"),
+        (two_point_from_range, (-math.inf, 1.0), "a"),
+        (poisson_survival, (math.inf, 3), "lam"),
+        (gaussian_survival, (math.nan,), "x"),
+        (hull_necessity_ratio, (math.inf,), "sigma2"),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )
@@ -599,6 +632,30 @@ def test_non_finite_argument_is_named(fn, args, name):
     # each used to return NaN, a wrong number, or an error about another argument
     with pytest.raises(ValueError, match=rf"^{name} must"):
         fn(*args)
+
+
+def test_infinite_gaussian_threshold_reads_the_limit():
+    assert gaussian_survival(math.inf) == 0.0
+    assert gaussian_survival(-math.inf) == 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: hoeffding_tail_range(n, 0.3, 1.0),
+        lambda n: hoeffding_tail_variance(n, 0.5, 1.0, 1.0),
+        lambda n: invert_for_confidence(n, 0.5, 0.05),
+        lambda n: iid_sum_dist(two_point_from_range(-1.0, 1.0), n).logp.tobytes(),
+    ],
+    ids=["hoeffding_tail_range", "hoeffding_tail_variance", "invert_for_confidence", "iid_sum_dist"],
+)
+def test_step_count_is_validated(call):
+    # n = 0 used to divide by zero, -3 and 2.5 were used as given, inf overflowed
+    # and 10.7 was truncated to 10 (iid_sum_dist truncated 2.5 and 10.7 too)
+    for n in (0, -3, 2.5, 10.7, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^n must be a positive integer"):
+            call(n)
+    assert call(np.int64(10)) == call(10)
 
 
 def _bits(values):

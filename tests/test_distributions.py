@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tailbounds import distributions
 from tailbounds.distributions import (
     MERGE_REL_TOL,
     DiscreteDist,
@@ -152,6 +153,19 @@ class TestIidSum:
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             iid_sum_survival(two_point_from_range(-1.0, 1.0), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 734, 3000])
+    def test_logp_equals_lgamma_difference(self, n, monkeypatch):
+        # the sum is captured before DiscreteDist, which rejects some n = 3000 sums
+        monkeypatch.setattr(distributions, "DiscreteDist", lambda support, logp: logp)
+        lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+        k = np.arange(n + 1)
+        rng = np.random.default_rng(n)
+        for p in [0.5, *rng.uniform(0.001, 0.999, 6)]:
+            d = two_point_from_range(-float(p), 1.0 - float(p))
+            logc = lgamma(n + 1.0) - lgamma(k + 1.0) - lgamma(n - k + 1.0)
+            reference = logc + k * math.log(d.p_hi) + (n - k) * math.log1p(-d.p_hi)
+            assert distributions.iid_sum_dist(d, n).tobytes() == reference.tobytes()
 
 
 class TestConvolve:

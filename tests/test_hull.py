@@ -23,6 +23,7 @@ from tailbounds.distributions import (
     two_point_from_variance,
 )
 from tailbounds.hull import (
+    _CONVEXITY_SLACK,
     LogLinearHull,
     binomial_hull_log_eval,
     eval_hull,
@@ -112,6 +113,87 @@ class TestHullConstruction:
             LogLinearHull(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 3.0]))  # concave turn
         with pytest.raises(ValueError):
             LogLinearHull(np.array([0.0, 1.0]), np.array([0.5, 1.0]))  # must start at 0
+
+
+def sweep_every_knot(S):
+    """The monotone-chain sweep as a plain loop over every knot, with its own pop test."""
+    xs = S.knots
+    ys = -S.log_values
+    keep_x = [xs[0]]
+    keep_y = [ys[0]]
+    for x, y in zip(xs[1:], ys[1:]):
+        while len(keep_x) >= 2:
+            ox, oy = keep_x[-2], keep_y[-2]
+            ax, ay = keep_x[-1], keep_y[-1]
+            cross = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+            if cross < -_CONVEXITY_SLACK * (x - ox):
+                keep_x.pop()
+                keep_y.pop()
+            else:
+                break
+        keep_x.append(x)
+        keep_y.append(y)
+    return np.array(keep_x), np.array(keep_y)
+
+
+def assert_same_hull_bits(S):
+    knots, neg_log = sweep_every_knot(S)
+    h = log_concave_hull(S)
+    assert h.knots.tobytes() == knots.tobytes()
+    assert h.neg_log.tobytes() == neg_log.tobytes()
+    return h
+
+
+class TestHullPrefixSweep:
+    """The vectorized prefix plus the loop keeps exactly the knots the full sweep keeps."""
+
+    def test_binomial_sums(self):
+        rng = np.random.default_rng(41)
+        ns = [1, 2, 3, 734] + [int(n) for n in rng.integers(1, 735, 40)]
+        for n in ns:
+            p = float(rng.uniform(0.001, 0.999))
+            S = iid_sum_survival(two_point_from_range(-p, 1.0 - p), n)
+            h = assert_same_hull_bits(S)
+            assert h.knots.size == S.knots.size
+
+    def test_random_survivals(self):
+        rng = np.random.default_rng(43)
+        for _ in range(400):
+            assert_same_hull_bits(random_survival(rng, max_points=int(rng.integers(2, 40))))
+        for _ in range(100):
+            m = int(rng.integers(3, 200))
+            knots = np.cumsum(rng.uniform(0.01, 2.0, m))
+            steps = rng.exponential(1.0, m - 1) * rng.choice([1e-3, 1.0, 1e3], m - 1)
+            assert_same_hull_bits(StepSurvival(knots, np.concatenate([[0.0], -np.cumsum(steps)])))
+
+    def test_triples_collinear_within_the_slack(self):
+        # middle knots nudged above and below the line by about the slack; a
+        # knot spacing of 2 keeps every hull the sweep builds a valid one
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            m = int(rng.integers(3, 30))
+            knots = 2.0 * np.arange(m)
+            nudge = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], m) * _CONVEXITY_SLACK
+            neg_log = 0.5 * knots + nudge
+            neg_log[0] = 0.0
+            assert_same_hull_bits(StepSurvival(knots, -neg_log))
+
+    def test_triple_exactly_at_the_slack_is_kept(self):
+        # the middle knot sits exactly the slack above its chord: the pop test is strict
+        mid = 71 * 2.0**-45
+        last = 2.0 * mid - 2.0 * _CONVEXITY_SLACK
+        assert (2.0 * last - 4.0 * mid) == -_CONVEXITY_SLACK * 4.0
+        h = assert_same_hull_bits(StepSurvival(np.array([0.0, 2.0, 4.0]), -np.array([0.0, mid, last])))
+        assert h.knots.size == 3
+
+    def test_first_failure_at_the_last_triple(self):
+        knots = np.arange(12, dtype=np.float64)
+        neg_log = 0.1 * knots**2
+        # the last slope, 1.7, falls below the 1.9 before it, so knot 10 drops;
+        # the chord 9 -> 11 (slope 1.8) still clears 8 -> 9 (1.7), so knot 9 stays
+        neg_log[-1] = 11.7
+        h = assert_same_hull_bits(StepSurvival(knots, -neg_log))
+        assert h.knots.tolist() == knots[:-2].tolist() + [knots[-1]]
 
 
 class TestHullEvaluation:
