@@ -1,4 +1,4 @@
-"""Worst-case searches, the n = 1 constant, and the two limit regimes.
+"""Worst cases by backward induction, the n = 1 constant, and the two limit regimes.
 
 Three questions a skeptic would ask, answered by computation:
 
@@ -29,15 +29,15 @@ print(f"sup over sigma2 and x of [exact n=1 tail] / [hull factor] = {estimate:.6
 print(f"(the variance bound's constant is {VARIANCE_CONST:.6f}; the best possible")
 print(" constant for any n is known to be at least 2, so the room left is small)")
 
-print("\n=== worst-case tree searches ===")
+print("\n=== worst cases over grid martingales, by backward induction ===")
 cond = MartingaleConditions.one_sided_variance(1.0, [1.0])
-report = worst_case_search(cond, 1.0, seed=11)
+report = worst_case_search(cond, 1.0)
 print(f"n=1, variance condition, x=1: best tail {report.best_tail:.6f} "
       f"(exact extremal {exact_n1_variance(1.0, 1.0, 1.0):.6f}), "
       f"bound {report.bound_value:.4f}, ratio {report.ratio:.4f}")
 cond2 = MartingaleConditions.range_condition([0.5, 0.5])
 for x in (0.5, 1.0):
-    rep = worst_case_search(cond2, x, seed=11)
+    rep = worst_case_search(cond2, x)
     print(f"n=2, range condition, x={x}: best tail {rep.best_tail:.6f}, "
           f"ratio to bound {rep.ratio:.4f} (< 1)")
 

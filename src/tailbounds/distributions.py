@@ -396,6 +396,13 @@ def _bd0(x, mean):
     return x * math.log(x / mean) + mean - x
 
 
+def _tail_count(k):
+    """The integer ceil(k) at which a tail P{eta >= k} reads; infinities pass through."""
+    if math.isnan(k):
+        raise ValueError("threshold k must not be NaN")
+    return k if math.isinf(k) else math.ceil(k)
+
+
 def _poisson_log_pmf(lam, k):
     """log P{eta = k} for Poisson(lam) by Loader's saddle-point form, k >= 0."""
     if k == 0:
@@ -404,7 +411,7 @@ def _poisson_log_pmf(lam, k):
 
 
 def poisson_log_survival(lam, k):
-    """log P{eta >= k} for a Poisson(lam) variable, integer ``k``.
+    """log P{eta >= k} for a Poisson(lam) variable, read at the integer ceil(k).
 
     The smaller side of the law is summed: P{eta >= k} for k > lam, else
     P{eta <= k - 1}, whose complement is returned. The sum starts at the
@@ -414,9 +421,11 @@ def poisson_log_survival(lam, k):
     _require_finite(lam=lam)
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    k = int(k)
+    k = _tail_count(k)
     if k <= 0:
         return 0.0
+    if k == math.inf:
+        return _NEG_INF
     upper = k > lam
     j = k if upper else k - 1
     log_first = _poisson_log_pmf(lam, j)
@@ -493,7 +502,7 @@ def _beta_cf(a, b, x, max_iter=100_000):
 
 
 def binomial_log_survival(n, p, k):
-    """log P{Bin(n, p) >= k} in log space, integer ``k``, in O(1) at any ``n``.
+    """log P{Bin(n, p) >= k} in log space at the integer ceil(k), in O(1) at any ``n``.
 
     The tail is the regularized incomplete beta I_p(k, n - k + 1), taken by
     Lentz's continued fraction (DiDonato & Morris, TOMS Alg. 708, 1992) times
@@ -504,7 +513,7 @@ def binomial_log_survival(n, p, k):
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
     n = int(n)
-    k = int(k)
+    k = _tail_count(k)
     if k <= 0:
         return 0.0
     if k > n:

@@ -57,10 +57,9 @@ class LogLinearHull:
             raise ValueError("hull must start where the survival equals 1")
         if not np.all(np.isfinite(neg_log)):
             raise ValueError("hull values must be finite")
-        if knots.size > 2:
-            slopes = np.diff(neg_log) / np.diff(knots)
-            if np.any(np.diff(slopes) < -_CONVEXITY_SLACK):
-                raise ValueError("hull slopes must be nondecreasing")
+        # the sweep's own pop test, so every hull the sweep builds passes
+        if np.any(_pops(knots[:-2], neg_log[:-2], knots[1:-1], neg_log[1:-1], knots[2:], neg_log[2:])):
+            raise ValueError("hull must be convex: a knot sits above its neighbours' chord")
 
     @property
     def values(self):
@@ -156,9 +155,13 @@ def is_log_concave_discrete(S):
 
 
 def _interpolate_integer_log_survival(log_survival, y):
-    """Log-linear interpolation of a log survival on the integers >= 0 at y; 0 for y <= 0."""
+    """Log-linear interpolation of a log survival on the integers >= 0 at y; 0 for y <= 0, -inf at inf."""
+    if math.isnan(y):
+        raise ValueError("threshold y must not be NaN")
     if y <= 0.0:
         return 0.0
+    if y == math.inf:
+        return -math.inf
     k0 = math.floor(y)
     if y == k0:
         return log_survival(k0)

@@ -322,6 +322,19 @@ class TestPoissonSurvival:
         with pytest.raises(ValueError):
             poisson_survival(0.0, 1)
 
+    def test_real_infinite_and_nan_thresholds(self):
+        # P{eta >= k} reads at ceil(k): the next integer up, not the one below
+        assert poisson_survival(2.0, 2.5) == poisson_survival(2.0, 3)
+        assert poisson_survival(2.0, 2.5) == pytest.approx(0.32332358381693654, rel=1e-13)
+        assert poisson_survival(2.0, 0.5) == pytest.approx(-math.expm1(-2.0), rel=1e-13)
+        assert poisson_survival(2.0, -0.5) == 1.0
+        assert poisson_log_survival(2.0, math.inf) == -math.inf
+        assert poisson_survival(2.0, math.inf) == 0.0
+        assert poisson_log_survival(2.0, -math.inf) == 0.0
+        for f in (poisson_log_survival, poisson_survival):
+            with pytest.raises(ValueError, match="k"):
+                f(2.0, math.nan)
+
 
 def assert_log_survival_close(value, reference, label):
     assert math.isfinite(value), label
@@ -399,6 +412,15 @@ class TestBinomialLogSurvival:
 
     def test_top_knot_is_exact(self):
         assert binomial_log_survival(100, 0.3, 100) == 100 * math.log(0.3)
+
+    def test_real_infinite_and_nan_thresholds(self):
+        assert binomial_log_survival(10, 0.3, 2.5) == binomial_log_survival(10, 0.3, 3)
+        assert binomial_log_survival(10, 0.3, 9.5) == 10 * math.log(0.3)
+        assert binomial_log_survival(10, 0.3, 10.5) == -math.inf
+        assert binomial_log_survival(10, 0.3, math.inf) == -math.inf
+        assert binomial_log_survival(10, 0.3, -math.inf) == 0.0
+        with pytest.raises(ValueError, match="k"):
+            binomial_log_survival(10, 0.3, math.nan)
 
     def test_stirling_error_table_and_series(self):
         # the table against log-gamma, whose rounding stays near 1e-15 there

@@ -108,6 +108,18 @@ class TestHullConstruction:
             h = log_concave_hull(S)
             assert np.all(eval_hull(h, S.knots) >= S.values - 1e-15)
 
+    def test_constructor_takes_every_hull_the_sweep_builds(self):
+        # a knot 0.8e-12 above its neighbours' chord at unit spacing stays on the hull
+        S = StepSurvival(np.array([0.0, 1.0, 2.0]), -np.array([0.0, 0.5 + 0.8e-12, 1.0]))
+        assert log_concave_hull(S).knots.size == 3
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            m = int(rng.integers(3, 30))
+            knots = rng.choice([0.01, 0.25, 1.0]) * np.arange(m)
+            neg_log = 0.5 * knots + rng.uniform(-2.0, 2.0, m) * _CONVEXITY_SLACK
+            neg_log[0] = 0.0
+            log_concave_hull(StepSurvival(knots, -neg_log))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LogLinearHull(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 3.0]))  # concave turn
@@ -353,6 +365,13 @@ class TestPoissonHull:
                 math.exp(poisson_hull_log_eval(3.0, y)), rel=1e-15
             )
 
+    def test_infinite_and_nan_thresholds(self):
+        assert poisson_hull_log_eval(2.0, math.inf) == -math.inf
+        assert poisson_hull_eval(2.0, math.inf) == 0.0
+        assert poisson_hull_log_eval(2.0, -math.inf) == 0.0
+        with pytest.raises(ValueError, match="y"):
+            poisson_hull_log_eval(2.0, math.nan)
+
     def test_dominates_poisson_survival(self):
         for lam in (0.5, 2.0, 7.0):
             for k in range(0, 25):
@@ -365,6 +384,10 @@ class TestBinomialHull:
         assert binomial_hull_log_eval(10, 0.3, -2.5) == 0.0
         assert binomial_hull_log_eval(10, 0.3, 4.0) == binomial_log_survival(10, 0.3, 4)
         assert binomial_hull_log_eval(10, 0.3, 11.0) == -math.inf
+        assert binomial_hull_log_eval(10, 0.3, math.inf) == -math.inf
+        assert binomial_hull_log_eval(10, 0.3, -math.inf) == 0.0
+        with pytest.raises(ValueError, match="y"):
+            binomial_hull_log_eval(10, 0.3, math.nan)
 
     def test_rounded_top_knot_snaps_to_n(self):
         top = 10 * math.log(0.3)

@@ -17,9 +17,11 @@ from tailbounds.distributions import (
 from tailbounds.bounds import (
     VARIANCE_CONST,
     MartingaleConditions,
+    exact_n1_range,
+    exact_n1_variance,
     hoeffding_H,
 )
-from tailbounds import suites
+from tailbounds import suites, verify
 from tailbounds.suites import run_suite
 from tailbounds.verify import (
     MartingaleTree,
@@ -263,47 +265,155 @@ class TestPaths:
         )
 
 
+def _grid_laws(cond, k, h):
+    """The zero step and every two-point grid law {-u h, v h} that step k admits."""
+
+    def admissible(u, v):
+        if cond.variant == "range":
+            return v * h <= 1.0 - cond.ps[k] + 1e-12 and u * h <= cond.ps[k] + 1e-12
+        return v * h <= cond.b + 1e-12 and u * v * h * h <= cond.sigma2s[k] + 1e-12
+
+    laws = [([0.0], [1.0])]
+    v = 1
+    while admissible(1, v):
+        u = 1
+        while admissible(u, v):
+            laws.append(([-u * h, v * h], [v / (u + v), u / (u + v)]))
+            u += 1
+        v += 1
+    return laws
+
+
+def _random_grid_node(rng, laws, k=0):
+    """A random subtree from step k on, each node drawn from that step's ``laws``."""
+    values, probs = laws[k][int(rng.integers(len(laws[k])))]
+    kids = None
+    if k + 1 < len(laws):
+        kids = tuple(_random_grid_node(rng, laws, k + 1) for _ in values)
+    return TreeNode(values, probs, children=kids)
+
+
 class TestWorstCaseSearch:
     def test_n1_variance_attains_exact(self):
         cond = MartingaleConditions.one_sided_variance(1.0, [1.0])
-        report = worst_case_search(cond, 1.0, seed=3)
+        report = worst_case_search(cond, 1.0)
         assert report.best_tail == pytest.approx(0.5, abs=1e-9)
         assert report.ratio <= 1.0
 
     def test_n1_range_attains_exact(self):
         cond = MartingaleConditions.range_condition([0.5])
-        report = worst_case_search(cond, 0.5, seed=3)
+        report = worst_case_search(cond, 0.5)
         assert report.best_tail == pytest.approx(0.5, abs=1e-9)
 
     def test_n2_range_stays_below_bound(self):
         cond = MartingaleConditions.range_condition([0.5, 0.5])
         for x in (0.25, 0.5, 0.75, 1.0):
-            report = worst_case_search(cond, x, seed=5, budget=4000)
+            report = worst_case_search(cond, x)
             assert report.ratio < 1.0
 
+    # old_tail: the tail the earlier local search reported; the induction must match or beat it
     @pytest.mark.parametrize(
-        "variant, caps, x, kwargs, evaluations, best_tail",
+        "variant, caps, x, old_tail, best_tail, evaluations",
         [
-            ("variance", [1.0], 1.0, dict(seed=3), 2608, 0.5),
-            ("range", [0.5], 0.5, dict(seed=3), 2608, 0.5),
-            ("range", [0.5, 0.5], 0.25, dict(seed=5, budget=4000), 4039, 0.6666660000006667),
-            ("range", [0.5, 0.5], 0.5, dict(seed=5, budget=4000), 4039, 0.49999950000050003),
-            ("range", [0.5, 0.5], 0.75, dict(seed=5, budget=4000), 4039, 0.33333322222225925),
-            ("range", [0.5, 0.5], 1.0, dict(seed=5, budget=4000), 3519, 0.25),
-            ("variance", [1.0], 1.0, dict(seed=11), 2608, 0.5),
-            ("range", [0.5, 0.5], 0.5, dict(seed=11), 6054, 0.49999950000050003),
-            ("range", [0.5, 0.5], 1.0, dict(seed=11), 3519, 0.25),
-            ("variance", [0.5, 1.0, 0.3], 0.9, dict(seed=4), 6055, 0.591414572733837),
+            pytest.param("variance", [1.0], 1.0, 0.5, 0.5, 67199, id="variance-n1"),
+            pytest.param("range", [0.5], 0.5, 0.5, 0.5, 8400, id="range-n1"),
+            pytest.param("range", [0.5, 0.5], 0.25, 0.6666660000006667, 0.75, 32800, id="range-n2-x0.25"),
+            pytest.param("range", [0.5, 0.5], 0.5, 0.49999950000050003, 0.5, 32800, id="range-n2-x0.5"),
+            pytest.param("range", [0.5, 0.5], 0.75, 0.33333322222225925, 1 / 3, 32800, id="range-n2-x0.75"),
+            pytest.param("range", [0.5, 0.5], 1.0, 0.25, 0.25, 32800, id="range-n2-x1"),
+            pytest.param(
+                "variance", [0.5, 1.0, 0.3], 0.9, 0.591414572733837, 0.6619713517743526, 849662, id="variance-n3"
+            ),
         ],
     )
-    def test_pinned_evaluations_and_tails(self, variant, caps, x, kwargs, evaluations, best_tail):
+    def test_pinned_evaluations_and_tails(self, variant, caps, x, old_tail, best_tail, evaluations):
         if variant == "range":
             cond = MartingaleConditions.range_condition(caps)
         else:
             cond = MartingaleConditions.one_sided_variance(1.0, caps)
-        report = worst_case_search(cond, x, **kwargs)
+        report = worst_case_search(cond, x)
         assert report.evaluations == evaluations
         assert report.best_tail == pytest.approx(best_tail, abs=1e-12)
+        assert report.best_tail >= old_tail
+        assert report.params == {"x": x, "grid_step": 1.0 / 40}
+
+    def test_instances_a_local_search_misses(self):
+        cond = MartingaleConditions.range_condition([0.5, 0.5])
+        assert worst_case_search(cond, 0.35).best_tail == pytest.approx(0.65, abs=1e-12)
+        # step to +0.35 w.p. 0.3 or to -0.15, then from -0.15 a fair +-0.5 step
+        tree = MartingaleTree(
+            TreeNode([-0.15, 0.35], [0.7, 0.3], (TreeNode([-0.5, 0.5], [0.5, 0.5]), TreeNode([0.0], [1.0]))),
+            2,
+            cond,
+        )
+        assert exact_tail(tree, 0.35) == pytest.approx(0.65, abs=1e-12)
+        cond = MartingaleConditions.range_condition([0.3] * 3)
+        assert worst_case_search(cond, 1.2).best_tail == pytest.approx(163 / 900, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "cond",
+        [
+            MartingaleConditions.range_condition([0.5]),
+            MartingaleConditions.range_condition([0.5, 0.5]),
+            MartingaleConditions.range_condition([0.25, 0.75]),
+            MartingaleConditions.one_sided_variance(1.0, [0.5, 0.3]),
+            MartingaleConditions.one_sided_variance(0.5, [0.1, 0.05]),
+            # laws whose lower atom lies below the whole window
+            MartingaleConditions.one_sided_variance(1.0, [2.0]),
+            MartingaleConditions.one_sided_variance(1.0, [1.0, 0.3]),
+        ],
+        ids=["range-n1", "range-n2", "range-n2-mixed", "variance-n2", "variance-n2-b0.5", "deep-n1", "deep-n2"],
+    )
+    def test_equals_every_tree_of_grid_laws(self, monkeypatch, cond):
+        # at G = 4 every depth <= 2 tree of admissible two-point grid laws is enumerable
+        monkeypatch.setattr(verify, "_GRID", 4)
+        h = (1.0 if cond.variant == "range" else cond.b) / 4
+        xs = np.arange(-1.5, 4 * cond.n + 1.5, 0.5) * h
+        best = np.zeros(xs.size)
+        for values, probs in _grid_laws(cond, 0, h):
+            if cond.n == 1:
+                trees = [TreeNode(values, probs)]
+            else:
+                kid_laws = _grid_laws(cond, 1, h)
+                trees = [
+                    TreeNode(values, probs, tuple(TreeNode(*kid_laws[i]) for i in pick))
+                    for pick in itertools.product(range(len(kid_laws)), repeat=len(values))
+                ]
+            for root in trees:
+                best = np.maximum(best, exact_tail_many(MartingaleTree(root, cond.n, cond), xs))
+        induced = [worst_case_search(cond, float(x)).best_tail for x in xs]
+        np.testing.assert_allclose(induced, best, rtol=0, atol=1e-12)
+
+    def test_random_grid_trees_stay_below(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            if rng.random() < 0.5:
+                cond = MartingaleConditions.range_condition(rng.integers(1, 40, n) / 40)
+                h = 1 / 40
+            else:
+                b = float(rng.uniform(0.5, 2.0))
+                cond = MartingaleConditions.one_sided_variance(b, rng.uniform(0.0, 0.5, n) * b * b)
+                h = b / 40
+            laws = [_grid_laws(cond, k, h) for k in range(n)]
+            tree = MartingaleTree(_random_grid_node(rng, laws), n, cond)
+            for j in rng.integers(-2, 40 * n + 2, 4):
+                x = float(j * h)
+                assert exact_tail(tree, x) <= worst_case_search(cond, x).best_tail + 1e-12
+
+    def test_n1_equals_the_exact_extremes_on_the_grid(self):
+        # the extremal atom {-p, x} or {-sigma2/x, x} has both points on the grid
+        for p in (0.25, 0.375, 0.5, 0.75):
+            cond = MartingaleConditions.range_condition([p])
+            for j in range(1, round(40 * (1 - p)) + 1):
+                x = j / 40
+                assert worst_case_search(cond, x).best_tail == pytest.approx(
+                    exact_n1_range(-p, 1 - p, x), abs=1e-15
+                )
+        cond = MartingaleConditions.one_sided_variance(1.0, [1.0])
+        for v in (1, 2, 4, 5, 8, 10, 16, 20, 25, 32, 40):
+            x = v / 40
+            assert worst_case_search(cond, x).best_tail == pytest.approx(exact_n1_variance(1.0, 1.0, x), abs=1e-15)
 
     def test_zero_cap_step(self):
         # a zero variance cap or p = 0 pins that step's difference at 0
@@ -322,12 +432,21 @@ class TestWorstCaseSearch:
             assert report.best_tail == 0.0
             assert report.bound_value == 0.0
             assert report.ratio == 0.0
+            assert report.evaluations == 0
         assert SearchReport(1e-3, 0.0, {}, 1).ratio == math.inf
 
     def test_rejects_deep_trees(self):
-        cond = MartingaleConditions.range_condition([0.5] * 4)
-        with pytest.raises(ValueError):
-            worst_case_search(cond, 0.5)
+        # depth is no limit by itself: trees of depth 4 to 8 run
+        for n in range(4, 9):
+            for cond in (
+                MartingaleConditions.range_condition([0.5] * n),
+                MartingaleConditions.one_sided_variance(1.0, [0.5] * n),
+            ):
+                report = worst_case_search(cond, 1.0)
+                assert 0.0 < report.best_tail and report.ratio <= 1.0
+        # a pass over the cell cap is refused before it runs
+        with pytest.raises(ValueError, match="cells"):
+            worst_case_search(MartingaleConditions.range_condition([0.5] * 200), 1.0)
 
 
 class TestC1Search:
