@@ -311,18 +311,62 @@ class TestWorstCaseSearch:
             report = worst_case_search(cond, x)
             assert report.ratio < 1.0
 
-    # old_tail: the tail the earlier local search reported; the induction must match or beat it
+    # old_tail: the tail the earlier local search reported; the induction must match or beat it.
+    # The ids are the names these cases had under that search: variant, caps, x, its seed/budget
+    # keyword set, its evaluation count and its tail. Rows 6 to 8 repeat rows 0, 3 and 5, which it
+    # ran again at a second seed; the induction takes no seed and must give the same answers.
     @pytest.mark.parametrize(
         "variant, caps, x, old_tail, best_tail, evaluations",
         [
-            pytest.param("variance", [1.0], 1.0, 0.5, 0.5, 67199, id="variance-n1"),
-            pytest.param("range", [0.5], 0.5, 0.5, 0.5, 8400, id="range-n1"),
-            pytest.param("range", [0.5, 0.5], 0.25, 0.6666660000006667, 0.75, 32800, id="range-n2-x0.25"),
-            pytest.param("range", [0.5, 0.5], 0.5, 0.49999950000050003, 0.5, 32800, id="range-n2-x0.5"),
-            pytest.param("range", [0.5, 0.5], 0.75, 0.33333322222225925, 1 / 3, 32800, id="range-n2-x0.75"),
-            pytest.param("range", [0.5, 0.5], 1.0, 0.25, 0.25, 32800, id="range-n2-x1"),
+            pytest.param("variance", [1.0], 1.0, 0.5, 0.5, 67199, id="variance-caps0-1.0-kwargs0-2608-0.5"),
+            pytest.param("range", [0.5], 0.5, 0.5, 0.5, 8400, id="range-caps1-0.5-kwargs1-2608-0.5"),
             pytest.param(
-                "variance", [0.5, 1.0, 0.3], 0.9, 0.591414572733837, 0.6619713517743526, 849662, id="variance-n3"
+                "range",
+                [0.5, 0.5],
+                0.25,
+                0.6666660000006667,
+                0.75,
+                32800,
+                id="range-caps2-0.25-kwargs2-4039-0.6666660000006667",
+            ),
+            pytest.param(
+                "range",
+                [0.5, 0.5],
+                0.5,
+                0.49999950000050003,
+                0.5,
+                32800,
+                id="range-caps3-0.5-kwargs3-4039-0.49999950000050003",
+            ),
+            pytest.param(
+                "range",
+                [0.5, 0.5],
+                0.75,
+                0.33333322222225925,
+                1 / 3,
+                32800,
+                id="range-caps4-0.75-kwargs4-4039-0.33333322222225925",
+            ),
+            pytest.param("range", [0.5, 0.5], 1.0, 0.25, 0.25, 32800, id="range-caps5-1.0-kwargs5-3519-0.25"),
+            pytest.param("variance", [1.0], 1.0, 0.5, 0.5, 67199, id="variance-caps6-1.0-kwargs6-2608-0.5"),
+            pytest.param(
+                "range",
+                [0.5, 0.5],
+                0.5,
+                0.49999950000050003,
+                0.5,
+                32800,
+                id="range-caps7-0.5-kwargs7-6054-0.49999950000050003",
+            ),
+            pytest.param("range", [0.5, 0.5], 1.0, 0.25, 0.25, 32800, id="range-caps8-1.0-kwargs8-3519-0.25"),
+            pytest.param(
+                "variance",
+                [0.5, 1.0, 0.3],
+                0.9,
+                0.591414572733837,
+                0.6619713517743526,
+                849662,
+                id="variance-caps9-0.9-kwargs9-6055-0.591414572733837",
             ),
         ],
     )
