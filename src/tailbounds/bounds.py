@@ -25,13 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    _is_scalar,
     _require_count,
     _require_finite,
     gaussian_survival,
     iid_sum_survival,
     two_point_from_variance,
 )
-from .hull import binomial_hull_log_eval, log_concave_hull, log_eval_hull, poisson_hull_eval
+from .hull import (
+    binomial_hull_log_eval,
+    log_concave_hull,
+    log_eval_hull,
+    poisson_hull_eval,
+    poisson_hull_log_eval,
+)
 from .fracmoment import MARGIN_TOL, lhs_inf, rhs_bound
 
 __all__ = [
@@ -219,10 +226,6 @@ def _lazy_hull_value(atom, n, x):
     return math.exp(binomial_hull_log_eval(n, atom.p_hi, y))
 
 
-def _is_scalar(x):
-    return isinstance(x, float) or np.ndim(x) == 0
-
-
 def _elementwise(fn, x):
     """``fn(x)`` at a scalar threshold; at a 1-D array, ``fn`` of each element.
 
@@ -267,18 +270,34 @@ def tail_bound_variance(cond, x, hull=None):
     return _bound(cond, x, VARIANCE_CONST, ("one_sided_variance",), hull)
 
 
+def _poisson_coarsening(lam, scale, x, constant):
+    """``constant`` times the Poisson(lam) hull at lam + x / scale.
+
+    An array of thresholds takes one array call of ``poisson_hull_log_eval``,
+    then ``math.exp`` per element, as a scalar call does.
+    """
+    if _is_scalar(x):
+        hv = poisson_hull_eval(lam, lam + x / scale)
+    else:
+        y = lam + np.asarray(x, dtype=np.float64) / scale
+        hv = _elementwise(math.exp, poisson_hull_log_eval(lam, y))
+    return BoundResult(value=constant * hv, constant=constant, hull_value=hv)
+
+
 def tail_bound_variance_poisson(cond, x):
     """Poisson coarsening of the variance bound, lambda = sum sigma_k^2 / b^2.
 
     Independent of n, hence rougher: it also covers the heaviest, infinite-n
-    tails.
+    tails. The Poisson hull at lambda + x/b interpolates log-linearly between
+    the Poisson tails at the integers next to it. Each tail sums a ratio
+    series of O(sqrt(lambda)) terms near the mean; an array of thresholds
+    sums the series of every integer it needs in one numpy walk.
     """
     _check_x(x)
     if cond.variant != "one_sided_variance":
         raise ValueError(f"poisson coarsening requires one_sided_variance, got {cond.variant!r}")
     lam = float(np.sum(cond.sigma2s)) / cond.b**2
-    hv = _elementwise(lambda v: poisson_hull_eval(lam, lam + v / cond.b), x)
-    return BoundResult(value=VARIANCE_CONST * hv, constant=VARIANCE_CONST, hull_value=hv)
+    return _poisson_coarsening(lam, cond.b, x, VARIANCE_CONST)
 
 
 def tail_bound_range(cond, x, hull=None):
@@ -294,7 +313,8 @@ def tail_bound_range_poisson(cond, x):
     """Poisson coarsening of the range bound, lambda = p n / (1 - p).
 
     The constant e^3/2 is exactly e * (e^2/2): the range reduction composed
-    with the variance bound's own Poisson step.
+    with the variance bound's own Poisson step. The hull is read at
+    lambda + x/(1 - p), as in ``tail_bound_variance_poisson``.
     """
     _check_x(x)
     if cond.variant != "range":
@@ -303,8 +323,7 @@ def tail_bound_range_poisson(cond, x):
     if not 0.0 < p < 1.0:
         raise ValueError(f"mean p must lie strictly inside (0,1), got {p}")
     lam = p * cond.n / (1.0 - p)
-    hv = _elementwise(lambda v: poisson_hull_eval(lam, lam + v / (1.0 - p)), x)
-    return BoundResult(value=RANGE_POISSON_CONST * hv, constant=RANGE_POISSON_CONST, hull_value=hv)
+    return _poisson_coarsening(lam, 1.0 - p, x, RANGE_POISSON_CONST)
 
 
 def tail_bound_symmetric(cond, x, hull=None):
@@ -604,14 +623,15 @@ def invert_for_confidence(n, sample_mean, delta):
     e P{Bin(n, 1 - mu) >= n (1 - sample_mean)} on the hull, O(1) in n.
     Returns 1 if even mu -> 1 keeps the bound above delta.
 
-    The seven spot-check probes bracket the limit; a bracketed secant then
-    shrinks the bracket [lo, hi], with bound(lo) >= delta > bound(hi), to
-    width 1e-9 and returns lo. Each secant probe is a regula-falsi step on
-    log bound - log delta, held at least 5e-10 inside the bracket; an end
-    kept for a second step in a row has its value scaled down (Illinois, by
-    the Anderson-Bjorck factor), and a probe whose bound underflows to 0
-    halves the bracket instead. A call takes about 15 probes in all, where
-    bisection to the same width takes 36.
+    The seven spot-check probes run upward from the sample mean and bracket
+    the limit; a bracketed secant then shrinks the bracket [lo, hi], with
+    bound(lo) >= delta > bound(hi), to width 1e-9 and returns lo. Each
+    secant probe is a regula-falsi step on log bound - log delta, held at
+    least 5e-10 inside the bracket; an end kept for a second step in a row
+    has its value scaled down (Illinois, by the Anderson-Bjorck factor), and
+    a probe whose bound underflows to 0 halves the bracket instead. A call
+    takes about 15 probes in all, where bisection to the same width takes
+    36.
 
     For an integer k = n sample_mean < n the probe is e P{Bin(n, mu) <= k},
     so the limit is the Clopper-Pearson upper limit at level delta / e: the
@@ -633,8 +653,14 @@ def invert_for_confidence(n, sample_mean, delta):
     def bound(mu):
         return _confidence_bound(n, mu, sample_mean)
 
-    # mu = 0 and mu = 1 would make Bin(n, 1 - mu) degenerate
-    probes = np.linspace(max(sample_mean, 1e-12), 1.0 - 1e-12, 7).tolist()
+    # mu = 0 and mu = 1 would make Bin(n, 1 - mu) degenerate. The probes run
+    # upward to 1 - 1e-12, or halfway to 1 from a sample mean above 1 - 2e-12
+    first = max(sample_mean, 1e-12)
+    last = max(1.0 - 1e-12, first + 0.5 * (1.0 - first))
+    if not last < 1.0:
+        # no double lies strictly between the sample mean and 1
+        return 1.0
+    probes = np.linspace(first, last, 7).tolist()
     vals = [bound(m) for m in probes]
     if any(b - a > 1e-9 for a, b in zip(vals, vals[1:])):
         raise RuntimeError("confidence bound is not decreasing in mu")

@@ -47,16 +47,20 @@ def _fmt(value):
     return str(value)
 
 
-def _emit(rows, columns, fmt, out_path):
+def _emit(columns, fmt, out_path):
+    """Write a table given as ``{name: column}``, every column of one length.
+
+    CSV zips the columns' formatted cells into rows as the writer takes them;
+    JSON makes one object per row.
+    """
     stream = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         if fmt == "csv":
             writer = csv.writer(stream)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(row.get(c)) for c in columns])
+            writer.writerows(zip(*[map(_fmt, col) for col in columns.values()]))
         else:
-            json.dump([{c: row.get(c) for c in columns} for row in rows], stream)
+            json.dump([dict(zip(columns, row)) for row in zip(*columns.values())], stream)
             stream.write("\n")
     finally:
         if out_path:
@@ -189,26 +193,21 @@ def _cmd_bound(args):
         "coarse_clamped": coarse.clamped,
     }
     # tolist gives Python floats, which print as the scalar calls' floats did
-    cells = [np.asarray(c).tolist() for c in columns.values()]
-    rows = [dict(zip(columns, row)) for row in zip(*cells)]
-    _emit(rows, list(columns), args.format, args.out)
+    _emit({name: np.asarray(c).tolist() for name, c in columns.items()}, args.format, args.out)
     return 0
 
 
 def _cmd_hull(args):
     S = _dist_from_args(args)
     on_hull = _on_hull(S, log_concave_hull(S))
-    rows = []
-    for x, logv, on in zip(S.knots, S.log_values, on_hull):
-        rows.append(
-            {
-                "x": float(x),
-                "survival": math.exp(logv),
-                "neg_log_survival": -logv,
-                "on_hull": int(on),
-            }
-        )
-    _emit(rows, ["x", "survival", "neg_log_survival", "on_hull"], args.format, args.out)
+    log_values = S.log_values.tolist()
+    columns = {
+        "x": S.knots.tolist(),
+        "survival": [math.exp(v) for v in log_values],
+        "neg_log_survival": (-S.log_values).tolist(),
+        "on_hull": on_hull.astype(int).tolist(),
+    }
+    _emit(columns, args.format, args.out)
     return 0
 
 
@@ -216,12 +215,14 @@ def _cmd_lemma42(args):
     s_values = _parse_floats(args.s)
     xs, lhs, rhs = margin_sweep(_dist_from_args(args), s_values)
     margins = lhs - rhs
-    rows = [
-        {"s": s, "x": x, "lhs": lv, "rhs": rv, "margin": mv}
-        for s, lrow, rrow, mrow in zip(s_values, lhs.tolist(), rhs.tolist(), margins.tolist())
-        for x, lv, rv, mv in zip(xs.tolist(), lrow, rrow, mrow)
-    ]
-    _emit(rows, ["s", "x", "lhs", "rhs", "margin"], args.format, args.out)
+    columns = {
+        "s": [s for s in s_values for _ in range(xs.size)],
+        "x": xs.tolist() * len(s_values),
+        "lhs": lhs.ravel().tolist(),
+        "rhs": rhs.ravel().tolist(),
+        "margin": margins.ravel().tolist(),
+    }
+    _emit(columns, args.format, args.out)
     if np.any(margins > MARGIN_TOL):
         print("moment-inequality violation detected", file=sys.stderr)
         return 1
@@ -237,8 +238,9 @@ def _cmd_verify(args):
         print(f"suite={res.name} checks={res.checks} failures={len(res.failures)} {extra}".rstrip())
         failures.extend(dict(row, suite=res.name) for row in res.failures)
     if failures:
-        columns = sorted({k for row in failures for k in row})
-        _emit(failures, columns, args.format, args.out)
+        names = sorted({k for row in failures for k in row})
+        # a key a row lacks reads as None, which CSV prints as ""
+        _emit({c: [row.get(c) for row in failures] for c in names}, args.format, args.out)
         return 1
     return 0
 
@@ -250,12 +252,8 @@ def _cmd_confidence(args):
         achieved = _confidence_bound(args.n, mu, args.mean)
     else:
         achieved = None
-    _emit(
-        [{"n": args.n, "mean": args.mean, "delta": args.delta, "upper_limit": mu, "bound_at_limit": achieved}],
-        ["n", "mean", "delta", "upper_limit", "bound_at_limit"],
-        args.format,
-        args.out,
-    )
+    row = {"n": args.n, "mean": args.mean, "delta": args.delta, "upper_limit": mu, "bound_at_limit": achieved}
+    _emit({name: [value] for name, value in row.items()}, args.format, args.out)
     return 0
 
 

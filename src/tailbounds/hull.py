@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MERGE_REL_TOL, binomial_log_survival, poisson_log_survival
+from .distributions import MERGE_REL_TOL, _is_scalar, binomial_log_survival, poisson_log_survival
 
 __all__ = [
     "LogLinearHull",
@@ -155,7 +155,15 @@ def is_log_concave_discrete(S):
 
 
 def _interpolate_integer_log_survival(log_survival, y):
-    """Log-linear interpolation of a log survival on the integers >= 0 at y; 0 for y <= 0, -inf at inf."""
+    """Log-linear interpolation of a log survival on the integers >= 0 at y; 0 for y <= 0, -inf at inf.
+
+    At a 1-D array of points, ``log_survival`` must take arrays too: it is
+    called once, on the integers floor(y) and floor(y) + 1 of every point, and
+    the interpolation runs per element in Python floats, as the scalar call
+    does.
+    """
+    if not _is_scalar(y):
+        return _interpolate_integer_log_survival_array(log_survival, y)
     if math.isnan(y):
         raise ValueError("threshold y must not be NaN")
     if y <= 0.0:
@@ -169,12 +177,33 @@ def _interpolate_integer_log_survival(log_survival, y):
     return (1.0 - t) * log_survival(k0) + t * log_survival(k0 + 1)
 
 
+def _interpolate_integer_log_survival_array(log_survival, y):
+    y = np.asarray(y, dtype=np.float64)
+    if np.isnan(y).any():
+        raise ValueError("threshold y must not be NaN")
+    out = np.where(y > 0.0, -math.inf, 0.0)
+    inner = (y > 0.0) & (y < math.inf)
+    if not inner.any():
+        return out
+    ys = y[inner]
+    k0 = np.floor(ys)
+    logs = log_survival(np.concatenate((k0, k0 + 1.0))).tolist()
+    lo, hi = logs[: ys.size], logs[ys.size :]
+    # y - floor(y) is exact, so t is the scalar call's t
+    out[inner] = [
+        a if t == 0.0 else (1.0 - t) * a + t * b for t, a, b in zip((ys - k0).tolist(), lo, hi)
+    ]
+    return out
+
+
 def poisson_hull_log_eval(lam, y):
     """log of the Poisson(lam) hull survival at a real point ``y``.
 
     The discrete Poisson survival is log-concave, so the hull is the
     log-linear interpolation between consecutive integers; it never vanishes
-    (infinite support). Returns 0 for y <= 0.
+    (infinite support). Returns 0 for y <= 0. ``y`` may also be a 1-D array,
+    read with one array call of ``poisson_log_survival``; the result equals
+    the scalar calls bit for bit.
     """
     return _interpolate_integer_log_survival(lambda k: poisson_log_survival(lam, k), y)
 

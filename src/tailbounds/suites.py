@@ -101,7 +101,7 @@ def _random_log_concave_survival(rng):
 def _truncated_poisson_survival(lam):
     k_max = int(lam + 12.0 * math.sqrt(lam) + 40.0)
     ks = np.arange(k_max + 1, dtype=np.float64)
-    logv = np.array([poisson_log_survival(lam, int(k)) for k in ks])
+    logv = poisson_log_survival(lam, ks)
     return StepSurvival(ks, logv)
 
 

@@ -547,6 +547,43 @@ class TestConfidenceInversion:
         with pytest.raises(ValueError):
             invert_for_confidence(10, 0.5, 1.5)
 
+    @staticmethod
+    def _record_probes(monkeypatch):
+        exact = bounds._confidence_bound
+        probes = []
+
+        def counted(n, mu, sample_mean):
+            probes.append(mu)
+            return exact(n, mu, sample_mean)
+
+        monkeypatch.setattr(bounds, "_confidence_bound", counted)
+        return probes
+
+    def test_spot_checks_unchanged_up_to_a_mean_of_one_minus_2e12(self, monkeypatch):
+        probes = self._record_probes(monkeypatch)
+        rng = np.random.default_rng(21)
+        cases = [(10, 0.0, 0.05), (10**12, 1.0 - 2e-12, 0.05), (10**13, 1.0 - 1e-11, 0.3)]
+        for _ in range(400):
+            n = int(rng.integers(1, 700))
+            cases.append((n, int(rng.integers(0, n)) / n, float(10 ** rng.uniform(-8, math.log10(0.5)))))
+        for n, mean, delta in cases:
+            probes.clear()
+            invert_for_confidence(n, mean, delta)
+            assert probes[:7] == np.linspace(max(mean, 1e-12), 1.0 - 1e-12, 7).tolist(), (n, mean)
+
+    def test_spot_checks_run_upward_from_a_mean_near_one(self, monkeypatch):
+        # above a mean of 1 - 2e-12 they used to run downward to 1 - 1e-12
+        probes = self._record_probes(monkeypatch)
+        for n, k in ((2 * 10**12, 2 * 10**12 - 1), (10**15, 10**15 - 3), (2**52, 2**52 - 2)):
+            probes.clear()
+            mu = invert_for_confidence(n, k / n, 0.05)
+            spot = probes[:7]
+            assert spot[0] == k / n < spot[-1] < 1.0, (n, k)
+            assert all(a <= b for a, b in zip(spot, spot[1:])), (n, k)
+            assert k / n < mu <= 1.0
+        # no double lies strictly between 1 - 2^-53 and 1
+        assert invert_for_confidence(2**53, 1.0 - 2.0**-53, 0.05) == 1.0
+
     def test_secant_probes_and_final_bracket(self, monkeypatch):
         exact = bounds._confidence_bound
         probes = []
@@ -716,6 +753,22 @@ class TestArrayThresholds:
                 assert _bits(arr.hull_value) == _bits([r.hull_value for r in scalars]), label
                 assert _bits(arr.clamped) == _bits([r.clamped for r in scalars]), label
                 assert arr.constant == scalars[0].constant
+
+    def test_coarsenings_at_large_lambda(self):
+        # Poisson walks of thousands of steps near the mean; x = (y - lambda) * scale
+        variance = MartingaleConditions.one_sided_variance(0.5, np.full(4, 2.5e5))
+        range_ = MartingaleConditions.range_condition(np.full(100, 0.9999))
+        cases = (
+            (variance, tail_bound_variance_poisson, 4e6, 0.5),
+            (range_, tail_bound_range_poisson, 1e6, 1e-4),
+        )
+        for cond, coarse, lam, scale in cases:
+            sd = math.sqrt(lam) * scale
+            xs = np.concatenate([sd * np.linspace(-40.0, 40.0, 41), [0.0, 0.3 * scale, -lam * scale]])
+            arr = coarse(cond, xs)
+            scalars = [coarse(cond, float(x)) for x in xs]
+            assert _bits(arr.hull_value) == _bits([r.hull_value for r in scalars])
+            assert _bits(arr.value) == _bits([r.value for r in scalars])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_hoeffding_tails_equal_scalar_calls(self, seed):

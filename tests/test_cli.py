@@ -342,6 +342,21 @@ class TestVerifyCommand:
         assert head == "suite=lemma48 checks=2 failures=1"
         assert parse_csv("\n".join(rows)) == [{"case": "blowup", "suite": "lemma48", "value": "3"}]
 
+    def test_failure_rows_with_different_keys(self, monkeypatch, capsys):
+        res = SuiteResult("lemma48", checks=3)
+        res.fail(case="blowup", value=3.0)
+        res.fail(case="drop", instance=2)
+        monkeypatch.setattr(cli, "run_suite", lambda name, seed, n: [res])
+        code, out, _ = run_cli(["verify", "--suite", "lemma48"], capsys)
+        assert code == 1
+        # a key a row lacks prints as an empty cell
+        assert out.splitlines()[1:] == ["case,instance,suite,value", "blowup,,lemma48,3", "drop,2,lemma48,"]
+        code, out, _ = run_cli(["verify", "--suite", "lemma48", "--format", "json"], capsys)
+        assert json.loads(out.splitlines()[1]) == [
+            {"case": "blowup", "instance": None, "suite": "lemma48", "value": 3.0},
+            {"case": "drop", "instance": 2, "suite": "lemma48", "value": None},
+        ]
+
     def test_unknown_suite_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nonsense"])
@@ -381,6 +396,21 @@ class TestConfidenceCommand:
             ["confidence", "--n", "10", "--mean", "1.4", "--delta", "0.05"], capsys
         )
         assert code == 2
+
+    def test_mean_near_one(self, capsys):
+        # the spot-check probes ran downward above a mean of 1 - 1e-12, and
+        # the monotonicity check raised RuntimeError
+        n, mean, delta = 2 * 10**12, 0.9999999999995, 0.05
+        code, out, _ = run_cli(
+            ["confidence", "--n", str(n), "--mean", repr(mean), "--delta", str(delta)], capsys
+        )
+        assert code == 0
+        (row,) = parse_csv(out)
+        mu = float(row["upper_limit"])
+        assert mean < mu <= 1.0
+        # k = n - 1 successes: the Clopper-Pearson upper limit is (1 - delta)^(1/n)
+        assert round(n * mean) == n - 1
+        assert mu >= math.exp(math.log1p(-delta) / n)
 
     @pytest.mark.parametrize(
         "n, mean, delta",

@@ -363,6 +363,79 @@ class TestPoissonAgainstMpmath:
             )
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _walk_steps(lam, k):
+    """Steps of the scalar Poisson walk from k >= 1 up to the term that leaves its sum unchanged."""
+    upper = k > lam
+    j = k if upper else k - 1
+    total = term = 1.0
+    steps = 0
+    while upper or j > 0:
+        term *= lam / (j + 1) if upper else j / lam
+        j += 1 if upper else -1
+        steps += 1
+        if total + term == total:
+            break
+        total += term
+    return steps
+
+
+class TestPoissonArrays:
+    """An array of thresholds reads the scalar calls' bits, in any block layout of the walk."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 5.0, 1e2, 1e4, 1e6, 1e10])
+    def test_array_equals_scalar_calls(self, lam):
+        sd = math.sqrt(lam)
+        mean = math.floor(lam)
+        ks = np.array([
+            0.0, -1.0, 0.5, 1.0, mean, mean - 1.0, mean + 1.0, mean + 2.0,
+            mean - 0.5, mean + 0.5, lam - 40.0 * sd, lam + 40.0 * sd, lam + 3.3 * sd,
+            math.inf, -math.inf, 1e300,
+        ])
+        scalars = [poisson_log_survival(lam, float(k)) for k in ks]
+        assert _bits(poisson_log_survival(lam, ks)) == _bits(scalars)
+        # walks near the mean outrun the first block from lambda = 1e2 on
+        if lam >= 1e2:
+            assert _walk_steps(lam, mean) > distributions._WALK_FIRST_STEPS
+
+    @pytest.mark.parametrize("first, cells", [(1, 4), (3, 16), (5, 200)])
+    def test_any_block_layout(self, monkeypatch, first, cells):
+        # one step per block once the cell budget is below two steps a row
+        monkeypatch.setattr(distributions, "_WALK_FIRST_STEPS", first)
+        monkeypatch.setattr(distributions, "_WALK_BLOCK_CELLS", cells)
+        for lam in (0.5, 7.0, 300.0):
+            ks = np.arange(-1.0, lam + 12.0 * math.sqrt(lam) + 30.0)
+            scalars = [poisson_log_survival(lam, float(k)) for k in ks]
+            assert _bits(poisson_log_survival(lam, ks)) == _bits(scalars), lam
+
+    def test_rows_converging_on_a_block_edge(self, monkeypatch):
+        lam, k = 50.0, 80
+        steps = _walk_steps(lam, k)
+        ks = np.array([float(k), 20.0, 51.0, 120.0])
+        scalars = [poisson_log_survival(lam, x) for x in ks.tolist()]
+        # the first block ends one step before, at, and one step past the step
+        # whose term leaves the sum of row k unchanged
+        for first in (steps - 1, steps, steps + 1):
+            monkeypatch.setattr(distributions, "_WALK_FIRST_STEPS", first)
+            assert _bits(poisson_log_survival(lam, ks)) == _bits(scalars), first
+
+    def test_nan_anywhere_is_named(self):
+        for ks in ([math.nan], [1.0, math.nan, 3.0], [math.inf, math.nan]):
+            with pytest.raises(ValueError, match="threshold k must not be NaN"):
+                poisson_log_survival(2.0, np.array(ks))
+
+    def test_lists_empty_arrays_and_lambda(self):
+        assert _bits(poisson_log_survival(2.0, [1, 2.5])) == _bits(
+            [poisson_log_survival(2.0, 1), poisson_log_survival(2.0, 2.5)]
+        )
+        assert poisson_log_survival(2.0, np.array([])).shape == (0,)
+        with pytest.raises(ValueError, match="lambda"):
+            poisson_log_survival(0.0, np.array([1.0]))
+
+
 class TestGaussianSurvival:
     def test_center(self):
         assert gaussian_survival(0.0) == 0.5

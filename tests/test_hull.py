@@ -372,6 +372,22 @@ class TestPoissonHull:
         with pytest.raises(ValueError, match="y"):
             poisson_hull_log_eval(2.0, math.nan)
 
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 5.0, 1e2, 1e4, 1e6])
+    def test_arrays_equal_scalar_calls(self, lam):
+        sd = math.sqrt(lam)
+        ys = np.concatenate([
+            lam + sd * np.linspace(-40.0, 40.0, 37),
+            [0.0, -2.0, 0.5, 1.0, 2.0, lam, lam + 0.5, math.floor(lam) + 1.0, math.inf, -math.inf],
+        ])
+        scalars = [poisson_hull_log_eval(lam, float(y)) for y in ys]
+        assert np.asarray(poisson_hull_log_eval(lam, ys)).tobytes() == np.array(scalars).tobytes()
+
+    def test_array_edges(self):
+        with pytest.raises(ValueError, match="threshold y must not be NaN"):
+            poisson_hull_log_eval(2.0, np.array([1.0, math.nan]))
+        assert poisson_hull_log_eval(2.0, np.array([])).shape == (0,)
+        assert poisson_hull_log_eval(2.0, [-1.0, 0.0, math.inf]).tolist() == [0.0, 0.0, -math.inf]
+
     def test_dominates_poisson_survival(self):
         for lam in (0.5, 2.0, 7.0):
             for k in range(0, 25):

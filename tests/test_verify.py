@@ -11,6 +11,7 @@ from scipy import stats
 from tailbounds.distributions import (
     DiscreteDist,
     convolve,
+    poisson_log_survival,
     two_point_from_range,
     two_point_from_variance,
 )
@@ -880,6 +881,13 @@ class TestRunSuite:
         # rel 1e-12 leaves room for a last-bit difference in exp between machines
         assert {k: res.info[k] for k in info} == pytest.approx(info, rel=1e-12)
         assert res.failures == []
+
+    def test_lemma41_poisson_survivals_read_the_scalar_tails(self):
+        # one array call per lambda; the suite's verdicts rest on these values
+        for lam in (0.25, 5.0, 40.0):
+            S = suites._truncated_poisson_survival(lam)
+            scalars = [poisson_log_survival(lam, int(k)) for k in S.knots]
+            assert S.log_values.tobytes() == np.array(scalars).tobytes(), lam
 
     def test_rejects_unknown_keyword(self):
         with pytest.raises(TypeError):
