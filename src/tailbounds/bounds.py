@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    _is_scalar,
     _require_count,
     _require_finite,
     gaussian_survival,
@@ -36,7 +35,6 @@ from .hull import (
     binomial_hull_log_eval,
     log_concave_hull,
     log_eval_hull,
-    poisson_hull_eval,
     poisson_hull_log_eval,
 )
 from .fracmoment import MARGIN_TOL, lhs_inf, rhs_bound
@@ -226,6 +224,11 @@ def _lazy_hull_value(atom, n, x):
     return math.exp(binomial_hull_log_eval(n, atom.p_hi, y))
 
 
+def _is_scalar(x):
+    """Whether ``x`` is one value rather than an array of them."""
+    return isinstance(x, (int, float)) or np.ndim(x) == 0
+
+
 def _elementwise(fn, x):
     """``fn(x)`` at a scalar threshold; at a 1-D array, ``fn`` of each element.
 
@@ -273,14 +276,11 @@ def tail_bound_variance(cond, x, hull=None):
 def _poisson_coarsening(lam, scale, x, constant):
     """``constant`` times the Poisson(lam) hull at lam + x / scale.
 
-    An array of thresholds takes one array call of ``poisson_hull_log_eval``,
-    then ``math.exp`` per element, as a scalar call does.
+    The thresholds, one or an array, take one call of
+    ``poisson_hull_log_eval``, then ``math.exp`` per element.
     """
-    if _is_scalar(x):
-        hv = poisson_hull_eval(lam, lam + x / scale)
-    else:
-        y = lam + np.asarray(x, dtype=np.float64) / scale
-        hv = _elementwise(math.exp, poisson_hull_log_eval(lam, y))
+    y = lam + np.asarray(x, dtype=np.float64) / scale
+    hv = _elementwise(math.exp, poisson_hull_log_eval(lam, y))
     return BoundResult(value=constant * hv, constant=constant, hull_value=hv)
 
 
@@ -290,8 +290,8 @@ def tail_bound_variance_poisson(cond, x):
     Independent of n, hence rougher: it also covers the heaviest, infinite-n
     tails. The Poisson hull at lambda + x/b interpolates log-linearly between
     the Poisson tails at the integers next to it. Each tail sums a ratio
-    series of O(sqrt(lambda)) terms near the mean; an array of thresholds
-    sums the series of every integer it needs in one numpy walk.
+    series of O(sqrt(lambda)) terms near the mean; one numpy walk sums the
+    series of every integer that the thresholds, one or an array, need.
     """
     _check_x(x)
     if cond.variant != "one_sided_variance":
@@ -625,7 +625,9 @@ def invert_for_confidence(n, sample_mean, delta):
 
     The seven spot-check probes run upward from the sample mean and bracket
     the limit; a bracketed secant then shrinks the bracket [lo, hi], with
-    bound(lo) >= delta > bound(hi), to width 1e-9 and returns lo. Each
+    bound(lo) >= delta > bound(hi), to width 1e-9 and returns lo. A bracket
+    within 1e-6 of the sample mean shrinks further, to 1e-3 of its distance
+    from the mean but at least four ulps, so lo stays above the mean. Each
     secant probe is a regula-falsi step on log bound - log delta, held at
     least 5e-10 inside the bracket; an end kept for a second step in a row
     has its value scaled down (Illinois, by the Anderson-Bjorck factor), and
@@ -635,8 +637,7 @@ def invert_for_confidence(n, sample_mean, delta):
 
     For an integer k = n sample_mean < n the probe is e P{Bin(n, mu) <= k},
     so the limit is the Clopper-Pearson upper limit at level delta / e: the
-    1 - delta / e quantile of Beta(k + 1, n - k), to the 1e-9 bracket
-    tolerance.
+    1 - delta / e quantile of Beta(k + 1, n - k), to the bracket width.
 
     The bound decreases in mu; that monotonicity is spot-checked on every
     call.
@@ -676,9 +677,8 @@ def invert_for_confidence(n, sample_mean, delta):
         return math.log(v) - log_delta if v > 0.0 else -math.inf
 
     f_lo, f_hi = excess(vals[i - 1]), excess(vals[i])
-    tol = 1e-9
     side = 0  # +1 after a secant step that moved lo, -1 after one that moved hi
-    while hi - lo > tol:
+    while hi - lo > (tol := _bracket_width(sample_mean, hi)):
         if f_hi == -math.inf:
             # the bound underflowed at hi: halve, then restart the secant
             mu, side = 0.5 * (lo + hi), 0
@@ -696,6 +696,16 @@ def invert_for_confidence(n, sample_mean, delta):
                 f_lo *= _anderson_bjorck(f, f_hi)
             hi, f_hi, side = mu, f, -1
     return lo
+
+
+def _bracket_width(sample_mean, hi):
+    """The bracket width at which the confidence search stops, below ``hi``.
+
+    1e-9, but no more than 1e-3 of the bracket's distance from the sample
+    mean, so a limit just above the mean is not rounded down to it; at least
+    four ulps of ``hi``, so the bracket can always shrink to it.
+    """
+    return min(1e-9, max(1e-3 * (hi - sample_mean), 4.0 * math.ulp(hi)))
 
 
 def _anderson_bjorck(f_new, f_old):

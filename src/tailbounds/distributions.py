@@ -34,7 +34,7 @@ MERGE_REL_TOL = 1e-9
 
 _NEG_INF = float("-inf")
 
-# The array Poisson walk starts with blocks of this many steps, and no block
+# The Poisson walk starts with blocks of this many steps, and no block
 # holds more than this many (rows x steps) cells
 _WALK_FIRST_STEPS = 32
 _WALK_BLOCK_CELLS = 1 << 14
@@ -401,11 +401,6 @@ def _bd0(x, mean):
     return x * math.log(x / mean) + mean - x
 
 
-def _is_scalar(x):
-    """Whether ``x`` is one value rather than an array of them."""
-    return isinstance(x, (int, float)) or np.ndim(x) == 0
-
-
 def _tail_count(k):
     """The integer ceil(k) at which a tail P{eta >= k} reads; infinities pass through."""
     if math.isnan(k):
@@ -428,79 +423,44 @@ def poisson_log_survival(lam, k):
     pmf term next to the mean and walks away from it by the ratios
     lam/(j + 1) up or j/lam down, until a term no longer changes the sum.
 
-    ``k`` may also be a 1-D array. The walks of all the distinct integers it
-    needs then run at once in numpy (``_poisson_ratio_walks``), and the result
-    equals the scalar calls bit for bit.
+    ``k`` is a threshold or a 1-D array of them. Each distinct integer
+    ceil(k) is walked once, all of them at once in numpy
+    (``_poisson_ratio_walks``); a threshold comes back as a float. The pmf,
+    log and log1p per integer stay in ``math``: numpy's may differ from them
+    in the last bit.
     """
     _require_finite(lam=lam)
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if not _is_scalar(k):
-        return _poisson_log_survival_array(lam, k)
-    k = _tail_count(k)
-    if k <= 0:
-        return 0.0
-    if k == math.inf:
-        return _NEG_INF
-    upper = k > lam
-    j = k if upper else k - 1
-    total = term = 1.0
-    while upper or j > 0:
-        term *= lam / (j + 1) if upper else j / lam
-        j += 1 if upper else -1
-        if total + term == total:
-            break
-        total += term
-    return _poisson_log_tail(lam, k, total)
-
-
-def _poisson_log_tail(lam, k, total):
-    """log P{eta >= k} at an integer k >= 1, from the total of its ratio walk."""
-    if k > lam:
-        return _poisson_log_pmf(lam, k) + math.log(total)
-    return math.log1p(-math.exp(_poisson_log_pmf(lam, k - 1) + math.log(total)))
-
-
-def _poisson_log_survival_array(lam, k):
-    """``poisson_log_survival`` over a 1-D array of thresholds.
-
-    Each distinct integer ceil(k) is walked once. The pmf, log and log1p
-    per integer stay in ``math``, as in the scalar call: numpy's may differ
-    from them in the last bit.
-    """
     k = np.asarray(k, dtype=np.float64)
     if np.isnan(k).any():
         raise ValueError("threshold k must not be NaN")
-    kc = np.ceil(k).ravel()
-    ks = np.sort(kc)
-    distinct = np.ones(ks.size, dtype=bool)
-    distinct[1:] = ks[1:] != ks[:-1]
-    ks = ks[distinct]
-    # 0 at k <= 0 and -inf at k = inf, as the scalar call reads them
+    ks, at = np.unique(np.ceil(k).ravel(), return_inverse=True)
+    # 0 at k <= 0 and -inf at k = inf
     logs = np.where(ks > 0.0, _NEG_INF, 0.0)
     walked = np.flatnonzero((ks > 0.0) & (ks < math.inf))
     kw = ks[walked]
-    upper = kw > lam
-    totals = np.empty(kw.size)
-    totals[upper] = _poisson_ratio_walks(lam, kw[upper], True)
-    totals[~upper] = _poisson_ratio_walks(lam, kw[~upper], False)
     logs[walked] = [
-        _poisson_log_tail(lam, int(kk), total) for kk, total in zip(kw.tolist(), totals.tolist())
+        _poisson_log_pmf(lam, kk) + math.log(total)
+        if kk > lam
+        else math.log1p(-math.exp(_poisson_log_pmf(lam, kk - 1) + math.log(total)))
+        for kk, total in zip(map(int, kw.tolist()), _poisson_ratio_walks(lam, kw).tolist())
     ]
-    return logs[np.searchsorted(ks, kc)].reshape(k.shape)
+    out = logs[at].reshape(k.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def _poisson_ratio_walks(lam, ks, upper):
-    """The totals 1 + r_1 + r_1 r_2 + ... of the scalar walk from each integer in ``ks``.
+def _poisson_ratio_walks(lam, ks):
+    """The totals 1 + r_1 + r_1 r_2 + ... of the ratio walk from each integer in sorted ``ks``.
 
-    Going up from k the ratios are lam/(k + i), going down from k - 1 they
-    are max(k - i, 0)/lam, for i = 1, 2, ... Each block of steps takes the
-    running products and then the running sums along every row, with the
-    previous block's last term and sum as its first column, so every row
-    rounds as the scalar loop does. The terms only shrink, so once a block's
-    last term leaves a row's sum unchanged, that sum is the one the loop
-    stops at. Blocks double in width but hold at most ``_WALK_BLOCK_CELLS``
-    cells, so memory stays flat at any lambda.
+    Going up from k > lam the ratios are lam/(k + i), going down from k - 1
+    (k <= lam) they are max(k - i, 0)/lam, for i = 1, 2, ... Each block of
+    steps takes the running products and then the running sums along every
+    row, with the previous block's last term and sum as its first column, so
+    every row rounds as a term-by-term loop does. The terms only shrink, so
+    once a block's last term leaves a row's sum unchanged, that sum is the
+    one the loop stops at. Blocks double in width but hold at most
+    ``_WALK_BLOCK_CELLS`` cells, so memory stays flat at any lambda.
     """
     totals = np.empty(ks.size)
     rows = np.arange(ks.size)
@@ -512,13 +472,13 @@ def _poisson_ratio_walks(lam, ks, upper):
         i = np.arange(steps + 1, steps + width + 1, dtype=np.float64)
         block = np.empty((rows.size, width + 1))
         block[:, 0] = term
-        ratios = block[:, 1:]
         k = ks[rows, None]
-        if upper:
-            np.divide(lam, np.add(k, i, out=ratios), out=ratios)
-        else:
-            np.maximum(np.subtract(k, i, out=ratios), 0.0, out=ratios)
-            ratios /= lam
+        # the rows stay sorted, so those that walk down come first
+        down = np.searchsorted(k[:, 0], lam, side="right")
+        lower, upper = block[:down, 1:], block[down:, 1:]
+        np.maximum(np.subtract(k[:down], i, out=lower), 0.0, out=lower)
+        lower /= lam
+        np.divide(lam, np.add(k[down:], i, out=upper), out=upper)
         np.multiply.accumulate(block, axis=1, out=block)
         term = block[:, -1].copy()
         block[:, 0] = total

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MERGE_REL_TOL, _is_scalar, binomial_log_survival, poisson_log_survival
+from .distributions import MERGE_REL_TOL, binomial_log_survival, poisson_log_survival
 
 __all__ = [
     "LogLinearHull",
@@ -154,58 +154,31 @@ def is_log_concave_discrete(S):
     return bool(np.all(_on_hull(S, log_concave_hull(S))))
 
 
-def _interpolate_integer_log_survival(log_survival, y):
-    """Log-linear interpolation of a log survival on the integers >= 0 at y; 0 for y <= 0, -inf at inf.
-
-    At a 1-D array of points, ``log_survival`` must take arrays too: it is
-    called once, on the integers floor(y) and floor(y) + 1 of every point, and
-    the interpolation runs per element in Python floats, as the scalar call
-    does.
-    """
-    if not _is_scalar(y):
-        return _interpolate_integer_log_survival_array(log_survival, y)
-    if math.isnan(y):
-        raise ValueError("threshold y must not be NaN")
-    if y <= 0.0:
-        return 0.0
-    if y == math.inf:
-        return -math.inf
-    k0 = math.floor(y)
-    if y == k0:
-        return log_survival(k0)
-    t = y - k0
-    return (1.0 - t) * log_survival(k0) + t * log_survival(k0 + 1)
-
-
-def _interpolate_integer_log_survival_array(log_survival, y):
-    y = np.asarray(y, dtype=np.float64)
-    if np.isnan(y).any():
-        raise ValueError("threshold y must not be NaN")
-    out = np.where(y > 0.0, -math.inf, 0.0)
-    inner = (y > 0.0) & (y < math.inf)
-    if not inner.any():
-        return out
-    ys = y[inner]
-    k0 = np.floor(ys)
-    logs = log_survival(np.concatenate((k0, k0 + 1.0))).tolist()
-    lo, hi = logs[: ys.size], logs[ys.size :]
-    # y - floor(y) is exact, so t is the scalar call's t
-    out[inner] = [
-        a if t == 0.0 else (1.0 - t) * a + t * b for t, a, b in zip((ys - k0).tolist(), lo, hi)
-    ]
-    return out
-
-
 def poisson_hull_log_eval(lam, y):
     """log of the Poisson(lam) hull survival at a real point ``y``.
 
     The discrete Poisson survival is log-concave, so the hull is the
     log-linear interpolation between consecutive integers; it never vanishes
-    (infinite support). Returns 0 for y <= 0. ``y`` may also be a 1-D array,
-    read with one array call of ``poisson_log_survival``; the result equals
-    the scalar calls bit for bit.
+    (infinite support). Returns 0 for y <= 0. ``y`` is a point or a 1-D
+    array of them: one call of ``poisson_log_survival`` reads the integers
+    floor(y) and floor(y) + 1 of every point, and the interpolation runs per
+    element in Python floats. A point comes back as a float.
     """
-    return _interpolate_integer_log_survival(lambda k: poisson_log_survival(lam, k), y)
+    y = np.asarray(y, dtype=np.float64)
+    if np.isnan(y).any():
+        raise ValueError("threshold y must not be NaN")
+    out = np.where(y > 0.0, -math.inf, 0.0)
+    inner = (y > 0.0) & (y < math.inf)
+    if inner.any():
+        ys = y[inner]
+        k0 = np.floor(ys)
+        logs = poisson_log_survival(lam, np.concatenate((k0, k0 + 1.0))).tolist()
+        lo, hi = logs[: ys.size], logs[ys.size :]
+        # y - floor(y) is exact
+        out[inner] = [
+            a if t == 0.0 else (1.0 - t) * a + t * b for t, a, b in zip((ys - k0).tolist(), lo, hi)
+        ]
+    return float(out) if out.ndim == 0 else out
 
 
 def poisson_hull_eval(lam, y):
@@ -222,8 +195,16 @@ def binomial_hull_log_eval(n, p, y):
     within MERGE_REL_TOL * max(1, n) above n is a rounded top knot and reads
     as n, which errs on the conservative side.
     """
+    if math.isnan(y):
+        raise ValueError("threshold y must not be NaN")
     if y > n:
         if y - n > MERGE_REL_TOL * max(1, n):
             return -math.inf
         y = float(n)
-    return _interpolate_integer_log_survival(lambda k: binomial_log_survival(n, p, k), y)
+    if y <= 0.0:
+        return 0.0
+    k0 = math.floor(y)
+    if y == k0:
+        return binomial_log_survival(n, p, k0)
+    t = y - k0
+    return (1.0 - t) * binomial_log_survival(n, p, k0) + t * binomial_log_survival(n, p, k0 + 1)

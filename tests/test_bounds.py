@@ -609,6 +609,14 @@ class TestConfidenceInversion:
                 assert exact(n, mu, mean) >= delta, (n, mean, delta)
                 assert exact(n, min(mu + 1e-9, 1.0 - 1e-12), mean) < delta, (n, mean, delta)
 
+    def test_limit_within_1e9_above_the_mean(self):
+        # the bound is 1.37 at the mean and falls to delta about 1.1e-13 above
+        # it; a fixed 1e-9 bracket returned the mean itself
+        n, mean, delta = 10**15, 1.0 - 3e-12, 0.05
+        mu = invert_for_confidence(n, mean, delta)
+        assert mean < mu < mean + 1e-12
+        assert delta <= bounds._confidence_bound(n, mu, mean) <= 1.01 * delta
+
 
 class TestNonFiniteInput:
     def test_range_condition_nan_p(self):

@@ -367,8 +367,12 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-def _walk_steps(lam, k):
-    """Steps of the scalar Poisson walk from k >= 1 up to the term that leaves its sum unchanged."""
+def _walk(lam, k):
+    """Steps and total of the term-by-term Poisson walk from an integer k >= 1.
+
+    The walk stops at the term that leaves its sum unchanged. It is the
+    reference that the numpy walk must equal bit for bit.
+    """
     upper = k > lam
     j = k if upper else k - 1
     total = term = 1.0
@@ -380,11 +384,34 @@ def _walk_steps(lam, k):
         if total + term == total:
             break
         total += term
-    return steps
+    return steps, total
+
+
+def _loop_log_survival(lam, k):
+    """``poisson_log_survival`` at one threshold, from the total of ``_walk``."""
+    if k <= 0.0:
+        return 0.0
+    if k == math.inf:
+        return -math.inf
+    k = math.ceil(k)
+    total = _walk(lam, k)[1]
+    if k > lam:
+        return distributions._poisson_log_pmf(lam, k) + math.log(total)
+    return math.log1p(-math.exp(distributions._poisson_log_pmf(lam, k - 1) + math.log(total)))
+
+
+def _assert_walk_matches_loop(lam, ks):
+    """Walk totals, array call and scalar calls all equal the term-by-term loop bit for bit."""
+    reference = [_loop_log_survival(lam, k) for k in ks.tolist()]
+    assert _bits(poisson_log_survival(lam, ks)) == _bits(reference), lam
+    assert _bits([poisson_log_survival(lam, k) for k in ks.tolist()]) == _bits(reference), lam
+    walked = np.unique(np.ceil(ks[(ks > 0.0) & (ks < math.inf)]))
+    totals = [_walk(lam, int(k))[1] for k in walked.tolist()]
+    assert _bits(distributions._poisson_ratio_walks(lam, walked)) == _bits(totals), lam
 
 
 class TestPoissonArrays:
-    """An array of thresholds reads the scalar calls' bits, in any block layout of the walk."""
+    """Array and scalar calls read the term-by-term loop's bits, in any block layout of the walk."""
 
     @pytest.mark.parametrize("lam", [1e-3, 0.5, 5.0, 1e2, 1e4, 1e6, 1e10])
     def test_array_equals_scalar_calls(self, lam):
@@ -395,11 +422,10 @@ class TestPoissonArrays:
             mean - 0.5, mean + 0.5, lam - 40.0 * sd, lam + 40.0 * sd, lam + 3.3 * sd,
             math.inf, -math.inf, 1e300,
         ])
-        scalars = [poisson_log_survival(lam, float(k)) for k in ks]
-        assert _bits(poisson_log_survival(lam, ks)) == _bits(scalars)
+        _assert_walk_matches_loop(lam, ks)
         # walks near the mean outrun the first block from lambda = 1e2 on
         if lam >= 1e2:
-            assert _walk_steps(lam, mean) > distributions._WALK_FIRST_STEPS
+            assert _walk(lam, mean)[0] > distributions._WALK_FIRST_STEPS
 
     @pytest.mark.parametrize("first, cells", [(1, 4), (3, 16), (5, 200)])
     def test_any_block_layout(self, monkeypatch, first, cells):
@@ -407,20 +433,17 @@ class TestPoissonArrays:
         monkeypatch.setattr(distributions, "_WALK_FIRST_STEPS", first)
         monkeypatch.setattr(distributions, "_WALK_BLOCK_CELLS", cells)
         for lam in (0.5, 7.0, 300.0):
-            ks = np.arange(-1.0, lam + 12.0 * math.sqrt(lam) + 30.0)
-            scalars = [poisson_log_survival(lam, float(k)) for k in ks]
-            assert _bits(poisson_log_survival(lam, ks)) == _bits(scalars), lam
+            _assert_walk_matches_loop(lam, np.arange(-1.0, lam + 12.0 * math.sqrt(lam) + 30.0))
 
     def test_rows_converging_on_a_block_edge(self, monkeypatch):
         lam, k = 50.0, 80
-        steps = _walk_steps(lam, k)
+        steps = _walk(lam, k)[0]
         ks = np.array([float(k), 20.0, 51.0, 120.0])
-        scalars = [poisson_log_survival(lam, x) for x in ks.tolist()]
         # the first block ends one step before, at, and one step past the step
         # whose term leaves the sum of row k unchanged
         for first in (steps - 1, steps, steps + 1):
             monkeypatch.setattr(distributions, "_WALK_FIRST_STEPS", first)
-            assert _bits(poisson_log_survival(lam, ks)) == _bits(scalars), first
+            _assert_walk_matches_loop(lam, ks)
 
     def test_nan_anywhere_is_named(self):
         for ks in ([math.nan], [1.0, math.nan, 3.0], [math.inf, math.nan]):
