@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    _each,
     _require_count,
     _require_finite,
     gaussian_survival,
@@ -113,18 +114,18 @@ class MartingaleConditions:
             if self.ps is None:
                 raise ValueError("range condition needs per-step ps")
             if np.any(self.ps < 0.0) or np.any(self.ps > 1.0):
-                raise ValueError("every p_k must lie in [0, 1]")
+                raise ValueError("every p_k in ps must lie in [0, 1]")
         elif self.variant == "per_k":
             if self.bs is None or self.sigma2s is None:
                 raise ValueError("per_k condition needs bs and sigma2s")
             if np.any(self.bs <= 0.0):
-                raise ValueError("per_k bounds must be positive")
+                raise ValueError("per_k bounds bs must be positive")
             self._check_sigma2s()
         elif self.variant == "symmetric":
             if self.bs is None:
                 raise ValueError("symmetric condition needs bs")
             if np.any(self.bs < 0.0) or not np.mean(self.bs**2) > 0.0:
-                raise ValueError("symmetric bounds must be nonnegative with positive mean square")
+                raise ValueError("symmetric bounds bs must be nonnegative with positive mean square")
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -214,74 +215,43 @@ def comparison_hull(cond):
     return log_concave_hull(iid_sum_survival(comparison_atom(cond), cond.n))
 
 
-def _lazy_hull_value(atom, n, x):
-    """B0(x) for the sum of n iid copies of ``atom``, without building the sum.
-
-    Knot k of the sum sits at n v_lo + k (v_hi - v_lo) and carries the
-    binomial tail P{Bin(n, p_hi) >= k}.
-    """
-    y = (x - n * atom.v_lo) / (atom.v_hi - atom.v_lo)
-    return math.exp(binomial_hull_log_eval(n, atom.p_hi, y))
-
-
-def _is_scalar(x):
-    """Whether ``x`` is one value rather than an array of them."""
-    return isinstance(x, (int, float)) or np.ndim(x) == 0
-
-
-def _elementwise(fn, x):
-    """``fn(x)`` at a scalar threshold; at a 1-D array, ``fn`` of each element.
-
-    The per-element step stays in ``math``: numpy's exp and log1p differ from
-    math's in the last bit on some inputs, and an array call must equal the
-    scalar calls bit for bit.
-    """
-    if _is_scalar(x):
-        return fn(x)
-    return np.array([fn(v) for v in np.asarray(x, dtype=np.float64).tolist()], dtype=np.float64)
-
-
 def _check_x(x):
-    if not (math.isfinite(x) if _is_scalar(x) else np.isfinite(x).all()):
-        bad = x if _is_scalar(x) else np.asarray(x)[~np.isfinite(x)][0]
-        raise ValueError(f"threshold x must be finite, got {bad}")
+    """The thresholds ``x`` as a float array; a NaN or infinite one is refused."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"threshold x must be finite, got {x[~np.isfinite(x)][0]}")
+    return x
+
+
+def _from_log_hull(constant, log_hv):
+    """``constant`` times the hull B0 from log B0, one or an array; exp per element in ``math``."""
+    hv = _each(math.exp, log_hv)
+    return BoundResult(value=constant * hv, constant=constant, hull_value=hv)
 
 
 def _bound(cond, x, constant, expected_variant, hull):
-    _check_x(x)
+    xs = _check_x(x)
     if cond.variant not in expected_variant:
         raise ValueError(f"bound requires variant in {expected_variant}, got {cond.variant!r}")
-    if hull is None:
-        atom = comparison_atom(cond)
-        hv = _elementwise(lambda v: _lazy_hull_value(atom, cond.n, v), x)
-    else:
-        # the interpolation runs once over all thresholds; exp per element
-        hv = _elementwise(math.exp, log_eval_hull(hull, x))
-    return BoundResult(value=constant * hv, constant=constant, hull_value=hv)
+    if hull is not None:
+        return _from_log_hull(constant, log_eval_hull(hull, xs))
+    # knot k of the comparison sum, at n v_lo + k (v_hi - v_lo), carries P{Bin(n, p_hi) >= k}
+    atom = comparison_atom(cond)
+    y = (xs - cond.n * atom.v_lo) / (atom.v_hi - atom.v_lo)
+    return _from_log_hull(constant, binomial_hull_log_eval(cond.n, atom.p_hi, y))
 
 
 def tail_bound_variance(cond, x, hull=None):
     """Variance-condition bound: (e^2/2) * B0(x), atoms eps(mean sigma^2, b).
 
-    Without ``hull`` B0(x) is evaluated lazily from two binomial tails; pass
-    ``comparison_hull(cond)`` to read it off the materialized hull instead,
-    which pays off over many thresholds. ``x`` is a threshold or a 1-D array
-    of thresholds; an array gives a ``BoundResult`` of arrays, equal bit for
-    bit to the scalar calls. The same holds for every bound, coarsening and
-    Hoeffding tail below.
+    Without ``hull`` B0(x) is read lazily, by one ``binomial_hull_log_eval``
+    call at the thresholds' knot coordinates; pass ``comparison_hull(cond)``
+    to read it off the materialized hull instead, which pays off over many
+    thresholds. ``x`` is a threshold or a 1-D array of thresholds; an array
+    gives a ``BoundResult`` of arrays, equal bit for bit to the scalar calls.
+    The same holds for every bound, coarsening and Hoeffding tail below.
     """
     return _bound(cond, x, VARIANCE_CONST, ("one_sided_variance",), hull)
-
-
-def _poisson_coarsening(lam, scale, x, constant):
-    """``constant`` times the Poisson(lam) hull at lam + x / scale.
-
-    The thresholds, one or an array, take one call of
-    ``poisson_hull_log_eval``, then ``math.exp`` per element.
-    """
-    y = lam + np.asarray(x, dtype=np.float64) / scale
-    hv = _elementwise(math.exp, poisson_hull_log_eval(lam, y))
-    return BoundResult(value=constant * hv, constant=constant, hull_value=hv)
 
 
 def tail_bound_variance_poisson(cond, x):
@@ -293,11 +263,11 @@ def tail_bound_variance_poisson(cond, x):
     series of O(sqrt(lambda)) terms near the mean; one numpy walk sums the
     series of every integer that the thresholds, one or an array, need.
     """
-    _check_x(x)
+    xs = _check_x(x)
     if cond.variant != "one_sided_variance":
         raise ValueError(f"poisson coarsening requires one_sided_variance, got {cond.variant!r}")
     lam = float(np.sum(cond.sigma2s)) / cond.b**2
-    return _poisson_coarsening(lam, cond.b, x, VARIANCE_CONST)
+    return _from_log_hull(VARIANCE_CONST, poisson_hull_log_eval(lam, lam + xs / cond.b))
 
 
 def tail_bound_range(cond, x, hull=None):
@@ -316,14 +286,14 @@ def tail_bound_range_poisson(cond, x):
     with the variance bound's own Poisson step. The hull is read at
     lambda + x/(1 - p), as in ``tail_bound_variance_poisson``.
     """
-    _check_x(x)
+    xs = _check_x(x)
     if cond.variant != "range":
         raise ValueError(f"poisson coarsening requires range, got {cond.variant!r}")
     p = cond.mean_p
     if not 0.0 < p < 1.0:
         raise ValueError(f"mean p must lie strictly inside (0,1), got {p}")
     lam = p * cond.n / (1.0 - p)
-    return _poisson_coarsening(lam, 1.0 - p, x, RANGE_POISSON_CONST)
+    return _from_log_hull(RANGE_POISSON_CONST, poisson_hull_log_eval(lam, lam + xs / (1.0 - p)))
 
 
 def tail_bound_symmetric(cond, x, hull=None):
@@ -347,7 +317,7 @@ def tail_bound_symmetric_gaussian(cond, x):
     if cond.variant not in ("per_k", "symmetric"):
         raise ValueError(f"gaussian coarsening requires per_k or symmetric, got {cond.variant!r}")
     scale = math.sqrt(cond.n * cond.a2)
-    hv = _elementwise(lambda v: gaussian_survival(v / scale), x)
+    hv = _each(lambda v: gaussian_survival(v / scale), x)
     return BoundResult(value=SYMMETRIC_CONST * hv, constant=SYMMETRIC_CONST, hull_value=hv)
 
 
@@ -387,7 +357,7 @@ def hoeffding_tail_range(n, p, x):
     _require_count(n)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0,1), got {p}")
-    return _elementwise(lambda v: _hoeffding_power(n, p + v / n, p), x)
+    return _each(lambda v: _hoeffding_power(n, p + v / n, p), x)
 
 
 def hoeffding_tail_variance(n, sigma2, b, x):
@@ -405,7 +375,7 @@ def hoeffding_tail_variance(n, sigma2, b, x):
         raise ValueError(f"b must be positive, got {b}")
     s2 = sigma2 / (b * b)
     p = s2 / (1.0 + s2)
-    return _elementwise(lambda v: _hoeffding_power(n, (s2 + v / b / n) / (1.0 + s2), p), x)
+    return _each(lambda v: _hoeffding_power(n, (s2 + v / b / n) / (1.0 + s2), p), x)
 
 
 # --- explicit moment bounds ---------------------------------------------------

@@ -103,21 +103,32 @@ def _resolve_xs(args):
     return xs
 
 
-def _per_k(args, name, scalar, n):
-    """Resolve a per-step list from --<name>s or a repeated scalar."""
+def _refuse(args, flags):
+    """Refuse the flags among ``flags`` that were given: the command would not read them."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise ValueError(f"not read with the other parameters given: {', '.join(given)}")
+
+
+def _per_k(args, read, name, *scalars):
+    """Per-step values from --<name>s, else the first given of ``scalars`` n times; ``read`` gets the flag."""
+    n = args.n
     if n is not None and n < 1:
         raise ValueError(f"--n must be a positive integer, got {n}")
-    lst = getattr(args, name + "s", None)
+    lst = getattr(args, name + "s")
     if lst is not None:
+        read.add(name + "s")
         values = np.array(_parse_floats(lst))
         if n is not None and values.size != n:
             raise ValueError(f"--{name}s has {values.size} entries but --n is {n}")
         return values
-    if scalar is None:
+    flag = next((f for f in scalars if getattr(args, f) is not None), None)
+    if flag is None:
         raise ValueError(f"--{name} or --{name}s is required for this theorem")
     if n is None:
         raise ValueError("--n is required with scalar parameters")
-    return np.full(int(n), float(scalar))
+    read.add(flag)
+    return np.full(int(n), float(getattr(args, flag)))
 
 
 def _dist_from_args(args):
@@ -126,6 +137,7 @@ def _dist_from_args(args):
     if n is not None and n < 1:
         raise ValueError(f"--n must be a positive integer, got {n}")
     if args.atoms is not None:
+        _refuse(args, ("p", "sigma2", "b"))
         d = _parse_atoms(args.atoms)
         if n is not None:
             base = d
@@ -135,6 +147,7 @@ def _dist_from_args(args):
     if n is None:
         raise ValueError("--n is required unless --atoms is given")
     if args.p is not None:
+        _refuse(args, ("sigma2", "b"))
         cond = MartingaleConditions.range_condition(np.full(n, args.p))
         return iid_sum_survival(comparison_atom(cond), n)
     if args.sigma2 is not None and args.b is not None:
@@ -145,23 +158,24 @@ def _dist_from_args(args):
 def _cmd_bound(args):
     xs = _resolve_xs(args)
     theorem = args.theorem
+    read = set()
     if theorem == "1.2":
-        ps = _per_k(args, "p", args.p, args.n)
-        cond = MartingaleConditions.range_condition(ps)
+        cond = MartingaleConditions.range_condition(_per_k(args, read, "p", "p"))
     elif theorem == "1.1":
-        sigma2s = _per_k(args, "sigma2", args.sigma2, args.n)
+        sigma2s = _per_k(args, read, "sigma2", "sigma2")
         if args.b is None:
             raise ValueError("--b is required for theorem 1.1")
+        read.add("b")
         cond = MartingaleConditions.one_sided_variance(args.b, sigma2s)
     else:
         if args.sigma2s is not None or args.sigma2 is not None:
-            bs = _per_k(args, "b", args.b if args.b is not None else args.a, args.n)
-            sigma2s = _per_k(args, "sigma2", args.sigma2, args.n)
-            cond = MartingaleConditions.per_k(bs, sigma2s)
+            bs = _per_k(args, read, "b", "b", "a")
+            cond = MartingaleConditions.per_k(bs, _per_k(args, read, "sigma2", "sigma2"))
         elif args.bs is None and args.a is None:
             raise ValueError("--a (or --bs, or --sigma2s with --bs) is required for theorem 1.3")
         else:
-            cond = MartingaleConditions.symmetric(_per_k(args, "b", args.a, args.n))
+            cond = MartingaleConditions.symmetric(_per_k(args, read, "b", "a"))
+    _refuse(args, [f for f in ("p", "ps", "sigma2", "sigma2s", "b", "bs", "a") if f not in read])
     S = iid_sum_survival(comparison_atom(cond), cond.n)
     hull = log_concave_hull(S)
     # one call per column over all thresholds

@@ -53,6 +53,34 @@ def _require_count(n):
         raise ValueError(f"n must be a positive integer, got {n}")
 
 
+# The threshold contract of every evaluator: one threshold gives a float, a
+# 1-D array gives the scalar calls' values bit for bit, NaN raises ValueError
+# naming the argument.
+def _thresholds(x, name):
+    """The thresholds ``x``, one or a 1-D array, as a float array; NaN is refused by ``name``."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError(f"threshold {name} must not be NaN")
+    return x
+
+
+def _as_given(x, out):
+    """``out`` as a float where ``x`` is one threshold, else the array ``out``."""
+    return float(out) if isinstance(x, (int, float)) or np.ndim(x) == 0 else out
+
+
+def _each(fn, x):
+    """``fn(x)`` at one threshold; at a 1-D array, ``fn`` of each element.
+
+    The per-element step stays in ``math``: numpy's exp and log1p differ from
+    math's in the last bit on some inputs, and an array call must equal the
+    scalar calls bit for bit.
+    """
+    if isinstance(x, (int, float)) or np.ndim(x) == 0:
+        return fn(x)
+    return np.array([fn(v) for v in np.asarray(x, dtype=np.float64).tolist()], dtype=np.float64)
+
+
 def _reverse_tail_logsum(logp):
     """log of the suffix sums of exp(logp), accumulated from the top atom down.
 
@@ -303,21 +331,16 @@ class StepSurvival:
 
     def eval(self, x):
         """B(x) = total mass at or above x; scalar or array."""
-        out = np.exp(self.log_eval(x))
-        return float(out) if out.ndim == 0 else out
+        return _as_given(x, np.exp(self.log_eval(x)))
 
     def log_eval(self, x):
         """log B(x); -inf above the last knot."""
-        x = np.asarray(x, dtype=np.float64)
-        if np.isnan(x).any():
-            raise ValueError("threshold x must not be NaN")
+        x = _thresholds(x, "x")
         idx = np.searchsorted(self.knots, x, side="left")
         inside = idx < self.knots.size
         out = np.full(x.shape, _NEG_INF)
         out[inside] = self.log_values[idx[inside]]
-        if x.ndim == 0:
-            return float(out)
-        return out
+        return _as_given(x, out)
 
     @property
     def atom_masses(self):
@@ -432,9 +455,7 @@ def poisson_log_survival(lam, k):
     _require_finite(lam=lam)
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    k = np.asarray(k, dtype=np.float64)
-    if np.isnan(k).any():
-        raise ValueError("threshold k must not be NaN")
+    k = _thresholds(k, "k")
     ks, at = np.unique(np.ceil(k).ravel(), return_inverse=True)
     # 0 at k <= 0 and -inf at k = inf
     logs = np.where(ks > 0.0, _NEG_INF, 0.0)
@@ -446,8 +467,7 @@ def poisson_log_survival(lam, k):
         else math.log1p(-math.exp(_poisson_log_pmf(lam, kk - 1) + math.log(total)))
         for kk, total in zip(map(int, kw.tolist()), _poisson_ratio_walks(lam, kw).tolist())
     ]
-    out = logs[at].reshape(k.shape)
-    return float(out) if out.ndim == 0 else out
+    return _as_given(k, logs[at].reshape(k.shape))
 
 
 def _poisson_ratio_walks(lam, ks):
@@ -493,8 +513,8 @@ def _poisson_ratio_walks(lam, ks):
 
 
 def poisson_survival(lam, k):
-    """P{eta >= k} for Poisson(lam), accurate to better than 1e-13 relative."""
-    return math.exp(poisson_log_survival(lam, k))
+    """P{eta >= k} for Poisson(lam) at one ``k`` or a 1-D array, to 1e-13 relative."""
+    return _each(math.exp, poisson_log_survival(lam, k))
 
 
 def _binomial_log_pmf(n, p, k):

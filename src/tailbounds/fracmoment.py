@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .distributions import _thresholds
 from .hull import eval_hull, log_concave_hull
 
 __all__ = [
@@ -83,9 +84,7 @@ def lhs_inf_sweep(S, s, xs):
     atoms p at offsets a = x_i - x that are active in the piece.
     """
     _check_order(s)
-    xs = np.asarray(xs, dtype=np.float64)
-    if np.isnan(xs).any():
-        raise ValueError("thresholds must not be NaN")
+    xs = _thresholds(xs, "x")
     knots, masses = S.knots, S.atom_masses
     gap = xs[:, None] - knots[None, :]
     below = gap > 0.0

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MERGE_REL_TOL, binomial_log_survival, poisson_log_survival
+from .distributions import (
+    MERGE_REL_TOL, _as_given, _each, _thresholds, binomial_log_survival, poisson_log_survival,
+)
 
 __all__ = [
     "LogLinearHull",
@@ -104,21 +106,16 @@ def log_concave_hull(S):
 
 def log_eval_hull(h, x):
     """log B0(x): 0 left of the first knot, -inf strictly right of the last."""
-    x = np.asarray(x, dtype=np.float64)
-    if np.isnan(x).any():
-        raise ValueError("threshold x must not be NaN")
+    x = _thresholds(x, "x")
     y = np.interp(x, h.knots, h.neg_log)
     out = np.where(x > h.knots[-1], np.inf, y)
     out = np.where(x < h.knots[0], 0.0, out)
-    if x.ndim == 0:
-        return -float(out)
-    return -out
+    return _as_given(x, -out)
 
 
 def eval_hull(h, x):
     """B0(x) = exp of the interpolated -log B0; arrays and scalars agree bit for bit."""
-    out = np.exp(log_eval_hull(h, x))
-    return float(out) if out.ndim == 0 else out
+    return _as_given(x, np.exp(log_eval_hull(h, x)))
 
 
 def linear_envelope_eval(S, x):
@@ -127,16 +124,11 @@ def linear_envelope_eval(S, x):
     Equals B at the knots, 1 left of the first knot, 0 strictly right of the
     last. Always >= the log-linear hull.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if np.isnan(x).any():
-        raise ValueError("threshold x must not be NaN")
-    vals = S.values
-    out = np.interp(x, S.knots, vals)
+    x = _thresholds(x, "x")
+    out = np.interp(x, S.knots, S.values)
     out = np.where(x > S.knots[-1], 0.0, out)
     out = np.where(x < S.knots[0], 1.0, out)
-    if x.ndim == 0:
-        return float(out)
-    return out
+    return _as_given(x, out)
 
 
 def _on_hull(S, h):
@@ -164,9 +156,7 @@ def poisson_hull_log_eval(lam, y):
     floor(y) and floor(y) + 1 of every point, and the interpolation runs per
     element in Python floats. A point comes back as a float.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if np.isnan(y).any():
-        raise ValueError("threshold y must not be NaN")
+    y = _thresholds(y, "y")
     out = np.where(y > 0.0, -math.inf, 0.0)
     inner = (y > 0.0) & (y < math.inf)
     if inner.any():
@@ -178,12 +168,12 @@ def poisson_hull_log_eval(lam, y):
         out[inner] = [
             a if t == 0.0 else (1.0 - t) * a + t * b for t, a, b in zip((ys - k0).tolist(), lo, hi)
         ]
-    return float(out) if out.ndim == 0 else out
+    return _as_given(y, out)
 
 
 def poisson_hull_eval(lam, y):
-    """Poisson(lam) hull survival at ``y``; evaluated lazily per query."""
-    return math.exp(poisson_hull_log_eval(lam, y))
+    """Poisson(lam) hull survival at ``y``, a point or a 1-D array of them."""
+    return _each(math.exp, poisson_hull_log_eval(lam, y))
 
 
 def binomial_hull_log_eval(n, p, y):
@@ -193,8 +183,15 @@ def binomial_hull_log_eval(n, p, y):
     log-linear interpolation between consecutive integers, evaluated lazily
     in O(1) per query. Returns 0 for y <= 0 and -inf strictly above n. A ``y``
     within MERGE_REL_TOL * max(1, n) above n is a rounded top knot and reads
-    as n, which errs on the conservative side.
+    as n, which errs on the conservative side. ``y`` is a point or a 1-D
+    array of them; an array is read point by point, each from the tails at
+    floor(y) and floor(y) + 1, and a point comes back as a float.
     """
+    return _each(lambda v: _binomial_hull_log_point(n, p, v), y)
+
+
+def _binomial_hull_log_point(n, p, y):
+    """``binomial_hull_log_eval`` at one point ``y``."""
     if math.isnan(y):
         raise ValueError("threshold y must not be NaN")
     if y > n:

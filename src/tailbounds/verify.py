@@ -21,6 +21,7 @@ from .distributions import (
     DiscreteDist,
     TwoPointDist,
     _require_finite,
+    _thresholds,
     binomial_log_survival,
     poisson_survival,
 )
@@ -193,9 +194,7 @@ def _path_tails(sums, logps, xs):
     path sums, with no mass of their own, so one reverse log-sum over the
     merged order reads each tail at its threshold's position.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.isnan(xs).any():
-        raise ValueError("thresholds must not be NaN")
+    xs = np.atleast_1d(_thresholds(xs, "x"))
     batch = sums.shape[:-1]
     keys = np.concatenate([np.broadcast_to(xs, batch + xs.shape), sums], axis=-1)
     masses = np.concatenate([np.full(batch + xs.shape, -np.inf), logps], axis=-1)

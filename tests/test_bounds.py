@@ -618,6 +618,32 @@ class TestConfidenceInversion:
         assert delta <= bounds._confidence_bound(n, mu, mean) <= 1.01 * delta
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(variant="range", n=3, ps=[0.2, 0.3]), "ps"),
+        (dict(variant="one_sided_variance", n=2, sigma2s=[0.5, 0.5]), "b"),
+        (dict(variant="range", n=2), "ps"),
+        (dict(variant="per_k", n=2, sigma2s=[0.5, 0.5]), "bs"),
+        (dict(variant="per_k", n=2, bs=[1.0, 1.0]), "sigma2s"),
+        (dict(variant="symmetric", n=2), "bs"),
+        (dict(variant="one_sided_variance", n=2, b=1.0), "sigma2s"),
+        (dict(variant="one_sided_variance", n=2, b=0.0, sigma2s=[0.5, 0.5]), "b"),
+        (dict(variant="one_sided_variance", n=2, b=-1.0, sigma2s=[0.5, 0.5]), "b"),
+        (dict(variant="range", n=2, ps=[0.5, 1.5]), "ps"),
+        (dict(variant="range", n=2, ps=[-0.1, 0.5]), "ps"),
+        (dict(variant="per_k", n=2, bs=[1.0, 0.0], sigma2s=[0.5, 0.5]), "bs"),
+        (dict(variant="symmetric", n=2, bs=[1.0, -0.5]), "bs"),
+        (dict(variant="per_k", n=2, bs=[1.0, 1.0], sigma2s=[0.5, -0.1]), "sigma2s"),
+        (dict(variant="one_sided_variance", n=2, b=1.0, sigma2s=[-0.5, 0.2]), "sigma2s"),
+        (dict(variant="bernstein", n=2, bs=[1.0, 1.0]), "variant"),
+    ],
+)
+def test_conditions_name_the_field_they_refuse(kwargs, field):
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        MartingaleConditions(**kwargs)
+
+
 class TestNonFiniteInput:
     def test_range_condition_nan_p(self):
         with pytest.raises(ValueError):
@@ -755,6 +781,7 @@ class TestArrayThresholds:
             for call, label in calls:
                 arr = call(xs)
                 scalars = [call(float(x)) for x in xs]
+                assert _bits(call(xs.tolist()).value) == _bits(arr.value), label
                 assert isinstance(arr.value, np.ndarray), label
                 assert all(isinstance(r.value, float) for r in scalars), label
                 assert _bits(arr.value) == _bits([r.value for r in scalars]), (cond.variant, label)

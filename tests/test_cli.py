@@ -184,6 +184,26 @@ class TestBoundCommand:
         assert out == ""
         assert "--n is 5" in err
 
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["bound", "--theorem", "1.3", "--a", "1", "--b", "2", "--n", "3", "--x", "0.5"], ["--b"]),
+            (["bound", "--theorem", "1.2", "--p", "0.3", "--sigma2", "5", "--b", "9", "--n", "3", "--x", "0.5"],
+             ["--sigma2", "--b"]),
+            (["bound", "--theorem", "1.2", "--p", "0.9", "--ps", "0.1,0.2", "--x", "0.5"], ["--p"]),
+            (["bound", "--theorem", "1.3", "--a", "5", "--b", "1", "--sigma2", "0.5", "--n", "2", "--x", "0.5"],
+             ["--a"]),
+            (["hull", "--p", "0.3", "--sigma2", "5", "--b", "9", "--n", "2"], ["--sigma2", "--b"]),
+            (["hull", "--atoms=-1:0.5,1:0.5", "--p", "0.3", "--n", "2"], ["--p"]),
+        ],
+    )
+    def test_unread_parameter_flags_exit_2(self, argv, unread, capsys):
+        # each used to exit 0 and silently drop the flags
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.strip().rsplit(": ", 1)[1].split(", ") == unread
+
     def test_per_step_list_of_length_n(self, capsys):
         argv = ["bound", "--theorem", "1.2", "--n", "2", "--ps", "0.3,0.2", "--x", "1"]
         code, out, _ = run_cli(argv, capsys)

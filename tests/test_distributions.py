@@ -423,6 +423,7 @@ class TestPoissonArrays:
             math.inf, -math.inf, 1e300,
         ])
         _assert_walk_matches_loop(lam, ks)
+        assert _bits(poisson_survival(lam, ks)) == _bits([poisson_survival(lam, k) for k in ks.tolist()])
         # walks near the mean outrun the first block from lambda = 1e2 on
         if lam >= 1e2:
             assert _walk(lam, mean)[0] > distributions._WALK_FIRST_STEPS

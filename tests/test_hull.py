@@ -18,10 +18,12 @@ from tailbounds.distributions import (
     binomial_log_survival,
     iid_sum_dist,
     iid_sum_survival,
+    poisson_log_survival,
     poisson_survival,
     two_point_from_range,
     two_point_from_variance,
 )
+from tailbounds.fracmoment import lhs_inf_sweep
 from tailbounds.hull import (
     _CONVEXITY_SLACK,
     LogLinearHull,
@@ -243,15 +245,24 @@ class TestHullEvaluation:
         scalar = np.array([eval_hull(h, float(x)) for x in xs])
         assert eval_hull(h, xs).tobytes() == scalar.tobytes()
 
-    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan])])
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan]), [1.0, 2.0, math.nan]])
     def test_rejects_nan_threshold(self, x):
-        # as StepSurvival.log_eval does; np.interp would carry the NaN through
+        # every evaluator on the threshold contract names its argument;
+        # np.interp would carry the NaN through
         S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 3)
-        for evaluate in (log_eval_hull, eval_hull):
-            with pytest.raises(ValueError, match="NaN"):
-                evaluate(log_concave_hull(S), x)
-        with pytest.raises(ValueError, match="NaN"):
-            linear_envelope_eval(S, x)
+        h = log_concave_hull(S)
+        evaluators = [
+            (S.eval, "x"), (S.log_eval, "x"),
+            (lambda v: log_eval_hull(h, v), "x"), (lambda v: eval_hull(h, v), "x"),
+            (lambda v: linear_envelope_eval(S, v), "x"),
+            (lambda v: lhs_inf_sweep(S, 2.0, np.atleast_1d(v)), "x"),
+            (lambda v: poisson_log_survival(2.0, v), "k"), (lambda v: poisson_survival(2.0, v), "k"),
+            (lambda v: poisson_hull_log_eval(2.0, v), "y"), (lambda v: poisson_hull_eval(2.0, v), "y"),
+            (lambda v: binomial_hull_log_eval(10, 0.3, v), "y"),
+        ]
+        for evaluate, name in evaluators:
+            with pytest.raises(ValueError, match=f"threshold {name} must not be NaN"):
+                evaluate(x)
 
 
 class TestLinearEnvelope:
@@ -381,6 +392,8 @@ class TestPoissonHull:
         ])
         scalars = [poisson_hull_log_eval(lam, float(y)) for y in ys]
         assert np.asarray(poisson_hull_log_eval(lam, ys)).tobytes() == np.array(scalars).tobytes()
+        scalars = [poisson_hull_eval(lam, float(y)) for y in ys]
+        assert poisson_hull_eval(lam, ys).tobytes() == np.array(scalars).tobytes()
 
     def test_array_edges(self):
         with pytest.raises(ValueError, match="threshold y must not be NaN"):
@@ -410,6 +423,21 @@ class TestBinomialHull:
         assert binomial_hull_log_eval(10, 0.3, 10.0) == top
         assert binomial_hull_log_eval(10, 0.3, 10.0 + 0.5 * MERGE_REL_TOL * 10) == top
         assert binomial_hull_log_eval(10, 0.3, 10.0 + 2.0 * MERGE_REL_TOL * 10) == -math.inf
+
+    @pytest.mark.parametrize("n", [1, 10, 700])
+    def test_arrays_equal_scalar_calls(self, n):
+        # below 0, on knots, between them, inside and past the top-knot
+        # tolerance, and above n
+        tol = MERGE_REL_TOL * n
+        ys = np.array([
+            -math.inf, -2.5, 0.0, 0.25, 1.0, n / 3.0, n / 2.0 + 0.5, n - 1.0, n - 0.5, float(n),
+            n + 0.5 * tol, n + 2.0 * tol, n + 1.0, 1e300, math.inf,
+        ])
+        for p in (1e-3, 0.3, 0.999):
+            scalars = [binomial_hull_log_eval(n, p, float(y)) for y in ys]
+            assert all(isinstance(v, float) for v in scalars)
+            assert binomial_hull_log_eval(n, p, ys).tobytes() == np.array(scalars).tobytes()
+            assert binomial_hull_log_eval(n, p, ys.tolist()).tobytes() == np.array(scalars).tobytes()
 
     def test_geometric_interpolation(self):
         lo = binomial_log_survival(20, 0.4, 9)

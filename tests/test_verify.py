@@ -104,7 +104,7 @@ class TestTrees:
 
     def test_rejects_nan_threshold(self):
         tree = iid_tree(two_point_from_range(-0.5, 0.5), 2)
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="threshold x must not be NaN"):
             exact_tail_many(tree, [math.nan, 0.0])
         # infinite thresholds keep their meaning: every path, then none
         np.testing.assert_array_equal(exact_tail_many(tree, [-math.inf, math.inf]), [1.0, 0.0])
