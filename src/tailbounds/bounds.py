@@ -28,6 +28,7 @@ from .distributions import (
     _each,
     _require_count,
     _require_finite,
+    _thresholds,
     gaussian_survival,
     iid_sum_survival,
     two_point_from_variance,
@@ -216,10 +217,10 @@ def comparison_hull(cond):
 
 
 def _check_x(x):
-    """The thresholds ``x`` as a float array; a NaN or infinite one is refused."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError(f"threshold x must be finite, got {x[~np.isfinite(x)][0]}")
+    """The thresholds ``x`` as ``_thresholds`` reads them; an infinite one is refused too."""
+    x = _thresholds(x, "x")
+    if np.isinf(x).any():
+        raise ValueError(f"threshold x must be finite, got {x[np.isinf(x)][0]}")
     return x
 
 
@@ -357,7 +358,7 @@ def hoeffding_tail_range(n, p, x):
     _require_count(n)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0,1), got {p}")
-    return _each(lambda v: _hoeffding_power(n, p + v / n, p), x)
+    return _each(lambda v: _hoeffding_power(n, p + v / n, p), _thresholds(x, "x"))
 
 
 def hoeffding_tail_variance(n, sigma2, b, x):
@@ -375,7 +376,7 @@ def hoeffding_tail_variance(n, sigma2, b, x):
         raise ValueError(f"b must be positive, got {b}")
     s2 = sigma2 / (b * b)
     p = s2 / (1.0 + s2)
-    return _each(lambda v: _hoeffding_power(n, (s2 + v / b / n) / (1.0 + s2), p), x)
+    return _each(lambda v: _hoeffding_power(n, (s2 + v / b / n) / (1.0 + s2), p), _thresholds(x, "x"))
 
 
 # --- explicit moment bounds ---------------------------------------------------

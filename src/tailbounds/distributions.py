@@ -70,14 +70,14 @@ def _as_given(x, out):
 
 
 def _each(fn, x):
-    """``fn(x)`` at one threshold; at a 1-D array, ``fn`` of each element.
+    """``fn`` of one threshold as a Python float; at a 1-D array, ``fn`` of each element.
 
     The per-element step stays in ``math``: numpy's exp and log1p differ from
     math's in the last bit on some inputs, and an array call must equal the
     scalar calls bit for bit.
     """
     if isinstance(x, (int, float)) or np.ndim(x) == 0:
-        return fn(x)
+        return fn(float(x))
     return np.array([fn(v) for v in np.asarray(x, dtype=np.float64).tolist()], dtype=np.float64)
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .distributions import _thresholds
+from .distributions import _as_given, _each, _thresholds
 from .hull import eval_hull, log_concave_hull
 
 __all__ = [
@@ -42,34 +42,32 @@ def _check_order(s):
 
 
 def _segment_integral(S, s, ts):
-    """Exact I_s(t) for an array of t values, vectorized over segments.
+    """Exact I_s(t) for a 1-D array of t values, vectorized over segments.
 
     Integrating s (z-t)^(s-1) against the left-continuous step B: on
     (-inf, x_1] the survival is 1, on (x_i, x_{i+1}] it equals B(x_{i+1}),
     and it vanishes above the last knot. Summing by parts this is simply
     sum_i p_i (x_i - t)_+^s with p_i the atom masses.
     """
-    ts = np.asarray(ts, dtype=np.float64)
     masses = S.atom_masses
     diffs = np.clip(S.knots[None, :] - ts[..., None], 0.0, None)
     return diffs**s @ masses
 
 
 def step_integral_moment(S, s, t):
-    """Exact value of ``integral_t^inf s (z - t)^(s-1) B(z) dz`` for s > 0."""
+    """Exact ``integral_t^inf s (z - t)^(s-1) B(z) dz`` for s > 0 at a threshold or a 1-D array."""
     _check_order(s)
-    if math.isnan(t):
-        raise ValueError("threshold t must not be NaN")
-    return float(_segment_integral(S, s, np.array([float(t)]))[0])
+    # one product per threshold: BLAS may round a row differently beside others
+    return _each(lambda v: float(_segment_integral(S, s, np.array([v]))[0]), _thresholds(t, "t"))
 
 
 def lhs_inf(S, s, x):
     """Infimum over t < x of ``(x - t)^-s * step_integral_moment(S, s, t)``."""
-    return float(lhs_inf_sweep(S, s, [x])[0])
+    return lhs_inf_sweep(S, s, x)
 
 
 def lhs_inf_sweep(S, s, xs):
-    """``lhs_inf`` for many thresholds at once, solved exactly.
+    """``lhs_inf`` at a threshold or a 1-D array of them, solved exactly.
 
     With u = 1/(x - t) the objective is R(u) = E(1 + u(X - x))_+^s over
     u > 0, with R -> 1 as u -> 0 (t -> -inf). Its breakpoints are the knots
@@ -84,7 +82,8 @@ def lhs_inf_sweep(S, s, xs):
     atoms p at offsets a = x_i - x that are active in the piece.
     """
     _check_order(s)
-    xs = _thresholds(xs, "x")
+    given = _thresholds(xs, "x")
+    xs = given.reshape(-1)
     knots, masses = S.knots, S.atom_masses
     gap = xs[:, None] - knots[None, :]
     below = gap > 0.0
@@ -92,16 +91,15 @@ def lhs_inf_sweep(S, s, xs):
     at_knots = np.full(gap.shape, np.inf)
     at_knots[below] = np.broadcast_to(table, gap.shape)[below] / gap[below] ** s
     out = np.minimum(1.0, at_knots.min(axis=1))
-    if s < 1.0:
-        return out
-    falling = xs > masses @ knots
-    out[~falling] = 1.0
-    # from the top knot on R only falls, down to its value at the last
-    # breakpoint, which is already in out
-    solve = falling & (xs < knots[-1])
-    if s > 1.0 and np.any(solve):
-        out[solve] = np.minimum(out[solve], _convex_min(S, s, gap[solve], table))
-    return out
+    if s >= 1.0:
+        falling = xs > masses @ knots
+        out[~falling] = 1.0
+        # from the top knot on R only falls, down to its value at the last
+        # breakpoint, which is already in out
+        solve = falling & (xs < knots[-1])
+        if s > 1.0 and np.any(solve):
+            out[solve] = np.minimum(out[solve], _convex_min(S, s, gap[solve], table))
+    return _as_given(given, out.reshape(given.shape))
 
 
 def _convex_min(S, s, gap, table):

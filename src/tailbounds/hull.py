@@ -9,12 +9,14 @@ triple that fails its convexity test, so that test runs over all consecutive
 triples in one numpy pass and the Python loop starts at the first failure; on
 a log-concave survival, such as every materialized binomial sum, it does not
 run at all. Poisson and binomial survivals are log-concave, so their hulls
-can also skip the materialized knots and be evaluated lazily, one query at a
-time.
+can also skip the materialized knots and be evaluated lazily: one reader,
+``_lattice_log_point``, holds the edge rules of both lattices and reads a
+point from the tails at the integers next to it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -146,29 +148,41 @@ def is_log_concave_discrete(S):
     return bool(np.all(_on_hull(S, log_concave_hull(S))))
 
 
-def poisson_hull_log_eval(lam, y):
-    """log of the Poisson(lam) hull survival at a real point ``y``.
+def _lattice_log_point(tail, top, y):
+    """log hull at one point ``y`` of a log-concave survival on the integers 0..``top``.
 
-    The discrete Poisson survival is log-concave, so the hull is the
-    log-linear interpolation between consecutive integers; it never vanishes
-    (infinite support). Returns 0 for y <= 0. ``y`` is a point or a 1-D
-    array of them: one call of ``poisson_log_survival`` reads the integers
-    floor(y) and floor(y) + 1 of every point, and the interpolation runs per
-    element in Python floats. A point comes back as a float.
+    ``tail(k)`` is the log survival at an integer k, and the hull interpolates
+    it log-linearly between integers; ``top`` may be inf. NaN is refused,
+    y <= 0 reads 0, and y = inf or y past the top by more than
+    MERGE_REL_TOL * max(1, top) reads -inf; a y within that tolerance above a
+    finite top is a rounded top knot and reads as the top (conservative).
     """
-    y = _thresholds(y, "y")
-    out = np.where(y > 0.0, -math.inf, 0.0)
-    inner = (y > 0.0) & (y < math.inf)
-    if inner.any():
-        ys = y[inner]
-        k0 = np.floor(ys)
-        logs = poisson_log_survival(lam, np.concatenate((k0, k0 + 1.0))).tolist()
-        lo, hi = logs[: ys.size], logs[ys.size :]
-        # y - floor(y) is exact
-        out[inner] = [
-            a if t == 0.0 else (1.0 - t) * a + t * b for t, a, b in zip((ys - k0).tolist(), lo, hi)
-        ]
-    return _as_given(y, out)
+    if math.isnan(y):
+        raise ValueError("threshold y must not be NaN")
+    if y == math.inf or y - top > MERGE_REL_TOL * max(1, top):
+        return -math.inf
+    if y > top:
+        y = float(top)
+    if y <= 0.0:
+        return 0.0
+    k0 = math.floor(y)
+    if y == k0:
+        return tail(k0)
+    t = y - k0
+    return (1.0 - t) * tail(k0) + t * tail(k0 + 1)
+
+
+def poisson_hull_log_eval(lam, y):
+    """log of the Poisson(lam) hull survival at a point ``y`` or a 1-D array of them.
+
+    One ``poisson_log_survival`` call reads floor(y) and floor(y) + 1 of every
+    point, and ``_lattice_log_point`` reads each point off them.
+    """
+    ys = _thresholds(y, "y")
+    k0 = np.floor(ys).ravel()
+    ks = np.concatenate((k0, k0 + 1.0))
+    tails = dict(zip(ks.tolist(), poisson_log_survival(lam, ks).tolist()))
+    return _each(partial(_lattice_log_point, tails.__getitem__, math.inf), ys)
 
 
 def poisson_hull_eval(lam, y):
@@ -177,31 +191,9 @@ def poisson_hull_eval(lam, y):
 
 
 def binomial_hull_log_eval(n, p, y):
-    """log of the Bin(n, p) hull survival at a real knot coordinate ``y``.
+    """log of the Bin(n, p) hull survival at a knot coordinate ``y`` or a 1-D array of them.
 
-    The discrete binomial survival is log-concave, so the hull is the
-    log-linear interpolation between consecutive integers, evaluated lazily
-    in O(1) per query. Returns 0 for y <= 0 and -inf strictly above n. A ``y``
-    within MERGE_REL_TOL * max(1, n) above n is a rounded top knot and reads
-    as n, which errs on the conservative side. ``y`` is a point or a 1-D
-    array of them; an array is read point by point, each from the tails at
-    floor(y) and floor(y) + 1, and a point comes back as a float.
+    ``_lattice_log_point`` reads each point from at most two
+    ``binomial_log_survival`` tails, O(1) in n and in Python floats.
     """
-    return _each(lambda v: _binomial_hull_log_point(n, p, v), y)
-
-
-def _binomial_hull_log_point(n, p, y):
-    """``binomial_hull_log_eval`` at one point ``y``."""
-    if math.isnan(y):
-        raise ValueError("threshold y must not be NaN")
-    if y > n:
-        if y - n > MERGE_REL_TOL * max(1, n):
-            return -math.inf
-        y = float(n)
-    if y <= 0.0:
-        return 0.0
-    k0 = math.floor(y)
-    if y == k0:
-        return binomial_log_survival(n, p, k0)
-    t = y - k0
-    return (1.0 - t) * binomial_log_survival(n, p, k0) + t * binomial_log_survival(n, p, k0 + 1)
+    return _each(partial(_lattice_log_point, partial(binomial_log_survival, n, p), n), y)

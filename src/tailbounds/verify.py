@@ -20,6 +20,7 @@ import numpy as np
 from .distributions import (
     DiscreteDist,
     TwoPointDist,
+    _as_given,
     _require_finite,
     _thresholds,
     binomial_log_survival,
@@ -207,13 +208,13 @@ def _path_tails(sums, logps, xs):
 
 
 def exact_tail_many(tree, xs):
-    """Exact P{M_n >= x} for each threshold, from the tree's leaf paths."""
-    return _path_tails(tree._sums, tree._logps, xs)
+    """Exact P{M_n >= x} at a threshold (as a float) or a 1-D array of them, from the leaf paths."""
+    return _as_given(xs, _path_tails(tree._sums, tree._logps, xs).reshape(np.shape(xs)))
 
 
 def exact_tail(tree, x):
     """Exact P{M_n >= x} by leaf-path enumeration in log space."""
-    return float(exact_tail_many(tree, [x])[0])
+    return exact_tail_many(tree, x)
 
 
 # --- worst-case search ---------------------------------------------------------
@@ -638,8 +639,7 @@ def monte_carlo_tail(sampler, trials, x, seed):
     trials = int(trials)
     if trials < 10**4:
         raise ValueError("need at least 1e4 trials")
-    if math.isnan(x):
-        raise ValueError("threshold x must not be NaN")
+    _thresholds(x, "x")
     rng = np.random.default_rng(seed)
     hits = 0
     chunk = 100_000  # sums per sampler call

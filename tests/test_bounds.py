@@ -132,11 +132,13 @@ class TestHoeffdingTails:
         assert hoeffding_tail_variance(1, 1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_rejects_nan_threshold(self):
-        # a NaN threshold used to read as a zero bound, which is not conservative
-        with pytest.raises(ValueError, match="NaN"):
-            hoeffding_tail_range(10, 0.3, math.nan)
-        with pytest.raises(ValueError, match="NaN"):
-            hoeffding_tail_variance(10, 0.5, 1.0, math.nan)
+        # a NaN threshold used to read as a zero bound, which is not
+        # conservative, and then was refused as the kernel's internal "a"
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="^threshold x must not be NaN"):
+                hoeffding_tail_range(10, 0.3, x)
+            with pytest.raises(ValueError, match="^threshold x must not be NaN"):
+                hoeffding_tail_variance(10, 0.5, 1.0, x)
         assert hoeffding_tail_range(10, 0.3, math.inf) == 0.0
         assert hoeffding_tail_range(10, 0.3, -math.inf) == 1.0
 
@@ -827,9 +829,10 @@ class TestArrayThresholds:
 
     def test_every_element_must_be_finite(self):
         cond = MartingaleConditions.range_condition(np.full(5, 0.3))
-        for bad in (math.nan, math.inf, -math.inf):
+        # NaN gets the threshold contract's message, an infinity the bounds' own
+        for bad, message in ((math.nan, "must not be NaN"), (math.inf, "must be finite"), (-math.inf, "must be finite")):
             for bound in (tail_bound_range, tail_bound_range_poisson):
-                with pytest.raises(ValueError, match="finite"):
+                with pytest.raises(ValueError, match=f"^threshold x {message}"):
                     bound(cond, np.array([0.5, bad, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^threshold x must not be NaN"):
             hoeffding_tail_range(5, 0.3, np.array([0.5, math.nan]))

@@ -122,11 +122,13 @@ class TestBoundCommand:
         assert float(row["raw"]) == 1.0
 
     def test_non_finite_threshold_exit_2(self, capsys):
-        code, _, err = run_cli(
-            ["bound", "--theorem", "1.2", "--n", "2", "--p", "0.5", "--x", "nan"], capsys
-        )
-        assert code == 2
-        assert "finite" in err
+        # NaN gets the threshold contract's message, an infinity the bounds' own
+        for x, message in (("nan", "threshold x must not be NaN"), ("inf", "threshold x must be finite")):
+            code, _, err = run_cli(
+                ["bound", "--theorem", "1.2", "--n", "2", "--p", "0.5", "--x", x], capsys
+            )
+            assert code == 2
+            assert message in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -110,6 +110,15 @@ class TestStepIntegral:
         )
         assert value == pytest.approx(direct, rel=1e-13)
 
+    def test_arrays_equal_scalar_calls(self):
+        S = iid_sum_survival(two_point_from_variance(0.4, 0.7), 40)
+        ts = np.concatenate([np.linspace(S.knots[0] - 1.0, S.knots[-1] + 1.0, 53), S.knots[::7]])
+        for s in (0.5, 1.0, 1.7, 2.0, 3.0):
+            scalars = [step_integral_moment(S, s, float(t)) for t in ts]
+            assert all(type(v) is float for v in scalars)
+            assert step_integral_moment(S, s, ts).tobytes() == np.array(scalars).tobytes()
+        assert type(step_integral_moment(S, 2.0, np.float64(0.5))) is float
+
     def test_rejects_nonpositive_order(self):
         S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 1)
         with pytest.raises(ValueError):
@@ -127,6 +136,16 @@ class TestInfimum:
     def test_flat_region_fair_coin(self):
         S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 1)
         assert lhs_inf(S, 1.0, 1.0) == pytest.approx(0.5, rel=1e-10)
+
+    def test_one_threshold_gives_a_float(self):
+        # lhs_inf_sweep at one threshold used to raise IndexError
+        S = iid_sum_survival(two_point_from_range(-0.3, 0.7), 4)
+        for s in (0.5, 1.0, 2.0, 2.5):
+            for x in (-1.0, 0.0, 0.35, 1.2, 2.8, 5.0):
+                one = lhs_inf_sweep(S, s, x)
+                assert type(one) is float
+                assert np.array(one).tobytes() == lhs_inf_sweep(S, s, [x]).tobytes()
+                assert lhs_inf(S, s, x) == one
 
     def test_rejects_nan_threshold(self):
         S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 3)

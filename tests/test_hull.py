@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tailbounds.bounds import MartingaleConditions, comparison_atom, comparison_hull
+from tailbounds.bounds import (
+    MartingaleConditions,
+    comparison_atom,
+    comparison_hull,
+    hoeffding_tail_range,
+    hoeffding_tail_variance,
+)
 from tailbounds.distributions import (
     MERGE_REL_TOL,
     DiscreteDist,
@@ -23,10 +29,11 @@ from tailbounds.distributions import (
     two_point_from_range,
     two_point_from_variance,
 )
-from tailbounds.fracmoment import lhs_inf_sweep
+from tailbounds.fracmoment import lhs_inf_sweep, step_integral_moment
 from tailbounds.hull import (
     _CONVEXITY_SLACK,
     LogLinearHull,
+    _lattice_log_point,
     binomial_hull_log_eval,
     eval_hull,
     is_log_concave_discrete,
@@ -36,6 +43,7 @@ from tailbounds.hull import (
     poisson_hull_eval,
     poisson_hull_log_eval,
 )
+from tailbounds.verify import exact_tail_many, iid_tree
 
 
 def chord_minorant(xs, ys, x):
@@ -251,11 +259,15 @@ class TestHullEvaluation:
         # np.interp would carry the NaN through
         S = iid_sum_survival(two_point_from_range(-1.0, 1.0), 3)
         h = log_concave_hull(S)
+        tree = iid_tree(two_point_from_range(-1.0, 1.0), 3)
         evaluators = [
             (S.eval, "x"), (S.log_eval, "x"),
             (lambda v: log_eval_hull(h, v), "x"), (lambda v: eval_hull(h, v), "x"),
             (lambda v: linear_envelope_eval(S, v), "x"),
-            (lambda v: lhs_inf_sweep(S, 2.0, np.atleast_1d(v)), "x"),
+            (lambda v: lhs_inf_sweep(S, 2.0, v), "x"), (lambda v: step_integral_moment(S, 2.0, v), "t"),
+            (lambda v: exact_tail_many(tree, v), "x"),
+            (lambda v: hoeffding_tail_range(10, 0.3, v), "x"),
+            (lambda v: hoeffding_tail_variance(10, 0.5, 1.0, v), "x"),
             (lambda v: poisson_log_survival(2.0, v), "k"), (lambda v: poisson_survival(2.0, v), "k"),
             (lambda v: poisson_hull_log_eval(2.0, v), "y"), (lambda v: poisson_hull_eval(2.0, v), "y"),
             (lambda v: binomial_hull_log_eval(10, 0.3, v), "y"),
@@ -348,6 +360,42 @@ class TestDiscreteLogConcavity:
             assert is_log_concave_discrete(S) == bool(ratio_ok)
 
 
+class TestLatticeReader:
+    """The one reader behind both lattice hulls, on a tail that records the integers it reads."""
+
+    @pytest.mark.parametrize("top", [10, math.inf])
+    def test_edge_rules(self, top):
+        reads = []
+
+        def tail(k):
+            reads.append(k)
+            return -float(k)
+
+        def read(y):
+            reads.clear()
+            value = _lattice_log_point(tail, top, y)
+            assert type(value) is float
+            return value, list(reads)
+
+        for y in (-math.inf, -1e300, -2.5, -0.0, 0.0):
+            assert read(y) == (0.0, [])
+        assert read(math.inf) == (-math.inf, [])
+        assert read(3.0) == (-3.0, [3])
+        assert read(3.25) == ((1.0 - 0.25) * -3.0 + 0.25 * -4.0, [3, 4])
+        if top == math.inf:
+            assert read(11.5) == (0.5 * -11.0 + 0.5 * -12.0, [11, 12])
+            assert read(1e300) == (-1e300, [int(1e300)])
+        else:
+            tol = MERGE_REL_TOL * top
+            assert read(9.5) == (0.5 * -9.0 + 0.5 * -10.0, [9, 10])
+            # at the top, and within the merge tolerance above it: one read of the top
+            assert read(10.0) == read(10.0 + 0.5 * tol) == (-10.0, [10])
+            for y in (10.0 + 2.0 * tol, 11.0, 1e300):
+                assert read(y) == (-math.inf, [])
+        with pytest.raises(ValueError, match="^threshold y must not be NaN$"):
+            read(math.nan)
+
+
 class TestPoissonHull:
     def test_left_of_zero(self):
         assert poisson_hull_eval(1.0, 0.0) == 1.0
@@ -401,6 +449,32 @@ class TestPoissonHull:
         assert poisson_hull_log_eval(2.0, np.array([])).shape == (0,)
         assert poisson_hull_log_eval(2.0, [-1.0, 0.0, math.inf]).tolist() == [0.0, 0.0, -math.inf]
 
+    def test_edge_grid(self):
+        # the reader's edges on the Poisson lattice, which has no top; one
+        # tail at an integer, two elsewhere; scalar calls equal the array call
+        lam = 3.7
+
+        def tail(k):
+            return poisson_log_survival(lam, k)
+
+        cases = [
+            (-math.inf, 0.0), (-1e300, 0.0), (-2.5, 0.0), (-0.0, 0.0), (0.0, 0.0),
+            (0.5, 0.5 * tail(1)), (1.0, tail(1)), (3.5, 0.5 * tail(3) + 0.5 * tail(4)), (4.0, tail(4)),
+            (4.25, 0.75 * tail(4) + 0.25 * tail(5)), (1e300, tail(1e300)), (math.inf, -math.inf),
+        ]
+        ys, expected = (np.array(c) for c in zip(*cases))
+        scalars = [poisson_hull_log_eval(lam, float(y)) for y in ys]
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == expected.tobytes()
+        assert poisson_hull_log_eval(lam, ys).tobytes() == expected.tobytes()
+        for one in (np.float64(4.25), np.array(4.25)):
+            assert type(poisson_hull_log_eval(lam, one)) is float
+        # every call reads the lattice, so a bad lambda is refused even where
+        # no point needs a tail
+        for y in (0.0, [-1.0, math.inf], []):
+            with pytest.raises(ValueError, match="^lambda must be positive"):
+                poisson_hull_log_eval(-1.0, y)
+
     def test_dominates_poisson_survival(self):
         for lam in (0.5, 2.0, 7.0):
             for k in range(0, 25):
@@ -417,6 +491,29 @@ class TestBinomialHull:
         assert binomial_hull_log_eval(10, 0.3, -math.inf) == 0.0
         with pytest.raises(ValueError, match="y"):
             binomial_hull_log_eval(10, 0.3, math.nan)
+
+    def test_edge_grid(self):
+        # the reader's edges on the binomial lattice 0..n; scalar calls equal
+        # the array call, and a point comes back as a Python float whatever
+        # its type
+        n, p = 10, 0.3
+        tol = MERGE_REL_TOL * n
+
+        def tail(k):
+            return binomial_log_survival(n, p, k)
+
+        cases = [
+            (-math.inf, 0.0), (-2.5, 0.0), (-0.0, 0.0), (0.0, 0.0), (0.5, 0.5 * tail(1)), (4.0, tail(4)),
+            (4.25, 0.75 * tail(4) + 0.25 * tail(5)), (9.5, 0.5 * tail(9) + 0.5 * tail(10)),
+            (10.0, tail(10)), (10.0 + 0.5 * tol, tail(10)), (10.0 + 2.0 * tol, -math.inf),
+            (11.0, -math.inf), (1e300, -math.inf), (math.inf, -math.inf),
+        ]
+        ys, expected = (np.array(c) for c in zip(*cases))
+        scalars = [binomial_hull_log_eval(n, p, float(y)) for y in ys]
+        assert np.array(scalars).tobytes() == expected.tobytes()
+        assert binomial_hull_log_eval(n, p, ys).tobytes() == expected.tobytes()
+        for one in (4.25, np.float64(4.25), np.array(4.25), 4):
+            assert type(binomial_hull_log_eval(n, p, one)) is float
 
     def test_rounded_top_knot_snaps_to_n(self):
         top = 10 * math.log(0.3)

@@ -102,6 +102,15 @@ class TestTrees:
         with pytest.raises(ValueError):
             TreeNode(np.array(values), np.array(probs))
 
+    def test_one_threshold_gives_a_float(self):
+        # one threshold used to come back as a one-element array
+        tree = iid_tree(two_point_from_variance(0.37, 0.9), 5)
+        xs = np.linspace(-2.0, 3.0, 17)
+        scalars = [exact_tail_many(tree, float(x)) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == exact_tail_many(tree, xs).tobytes()
+        assert [exact_tail(tree, float(x)) for x in xs] == scalars
+
     def test_rejects_nan_threshold(self):
         tree = iid_tree(two_point_from_range(-0.5, 0.5), 2)
         with pytest.raises(ValueError, match="threshold x must not be NaN"):
