@@ -20,6 +20,7 @@ copy is carried alongside.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,6 +398,17 @@ def _mgf_log_terms(s2, b, counts, x, h):
     return value, slope, curvature
 
 
+def _spec_tally(specs):
+    """The distinct pairs of the (sigma^2, b) tuples ``specs`` as arrays s2 and b, and their counts.
+
+    The pairs come sorted, as ``np.unique(axis=0, return_counts=True)`` gives
+    them; a ``Counter`` tallies them without numpy's sort of rows.
+    """
+    tally = sorted(Counter(specs).items())
+    s2, b = np.array([pair for pair, _ in tally]).T
+    return s2, b, np.array([count for _, count in tally], dtype=np.float64)
+
+
 def mgf_bound(theta_specs, x):
     """Infimum over h > 0 of exp(-h x) * prod_k E exp(h theta_k).
 
@@ -404,10 +416,10 @@ def mgf_bound(theta_specs, x):
     atoms theta_k. The log-objective is convex in h with slope -x < 0 at
     h = 0+, so its minimizer is bracketed by doubling h and found by
     safeguarded Newton steps on the slope, summing over the distinct
-    (sigma^2, b) pairs weighted by their counts. The h -> infinity boundary
-    (x at the top of the support) returns the product of the upper-atom
-    probabilities directly. When the specs are iid with common (sigma^2, b)
-    the result is checked against the closed form
+    (sigma^2, b) pairs weighted by their counts (``_spec_tally``). The
+    h -> infinity boundary (x at the top of the support) returns the product
+    of the upper-atom probabilities directly. When the specs are iid with
+    common (sigma^2, b) the result is checked against the closed form
     H^n((sigma^2 + b x/n)/(b^2 + sigma^2); sigma^2/(b^2 + sigma^2)), which the
     infimum attains exactly.
     """
@@ -430,9 +442,7 @@ def mgf_bound(theta_specs, x):
         log_prod = sum(math.log(s2 / (b * b + s2)) for s2, b in specs)
         return math.exp(log_prod)
 
-    pairs, counts = np.unique(np.array(specs), axis=0, return_counts=True)
-    s2, b = pairs[:, 0], pairs[:, 1]
-    counts = counts.astype(np.float64)
+    s2, b, counts = _spec_tally(specs)
 
     def terms(h):
         return _mgf_log_terms(s2, b, counts, x, h)
@@ -461,12 +471,8 @@ def mgf_bound(theta_specs, x):
     log_min = terms(h)[0]
     numeric = math.exp(log_min)
 
-    bs = {b for _, b in specs}
-    s2s = {s2 for s2, _ in specs}
-    if len(bs) == 1 and len(s2s) == 1:
-        b = bs.pop()
-        s2 = s2s.pop()
-        closed = hoeffding_tail_variance(len(specs), s2, b, x)
+    if counts.size == 1:
+        closed = hoeffding_tail_variance(len(specs), float(s2[0]), float(b[0]), x)
         if closed > 0.0 and abs(log_min - math.log(closed)) > 1e-8:
             raise RuntimeError(
                 f"mgf infimum {numeric} disagrees with closed form {closed}"
@@ -480,7 +486,8 @@ def fractional_moment_bound(T, s, x):
     For a finite sum distribution ``T`` and s >= 2, returns the pair
     ``(inf_{t<x} E(T - t)_+^s / (x - t)^s,  e^s s^-s Gamma(s+1) B0(x))``
     with the expectation exact over the support. The first never exceeds the
-    second; that ordering is enforced on every call.
+    second; that ordering is enforced on every call. The survival and hull
+    are the ones kept on ``T``, built here only if no caller built them yet.
     """
     if not 2.0 <= s < math.inf:
         raise ValueError(f"s must be at least 2 and finite, got {s}")

@@ -8,6 +8,7 @@ digits so doubles round-trip; JSON uses the shortest round-trip form.
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -47,18 +48,50 @@ def _fmt(value):
     return str(value)
 
 
-def _emit(columns, fmt, out_path):
-    """Write a table given as ``{name: column}``, every column of one length.
+def _csv_field(text, lone):
+    """``text`` as csv's minimal quoting writes it; ``lone`` if it is a row's only field."""
+    if any(c in text for c in ',"\r\n') or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    CSV zips the columns' formatted cells into rows as the writer takes them;
-    JSON makes one object per row.
+
+def _csv_rows(columns):
+    """The CSV rows of ``columns`` below the header, each written by one ``%``-template.
+
+    A column that repeats one object (by identity: 0.0 and -0.0, or 1 and
+    True, are equal but print apart) is formatted once into the template, an
+    all-float column reads ``%.17g``, and any other column its quoted
+    ``_fmt`` cells through ``%s``. The rows are made one at a time.
+    """
+    lone = len(columns) == 1
+    pieces, read = [], []
+    for col in columns.values():
+        if col and all(v is col[0] for v in col):
+            pieces.append(_csv_field(_fmt(col[0]), lone).replace("%", "%%"))
+        elif all(type(v) is float for v in col):
+            pieces.append("%.17g")
+            read.append(col)
+        else:
+            pieces.append("%s")
+            read.append([_csv_field(_fmt(v), lone) for v in col])
+    template = ",".join(pieces) + "\r\n"
+    # with no column read, every row is the template itself
+    rows = zip(*read) if read else itertools.repeat((), len(next(iter(columns.values()), ())))
+    return (template % row for row in rows)
+
+
+def _emit(columns, fmt, out_path):
+    """Write a table given as ``{name: column}``, every column a list of one length.
+
+    CSV writes the header and then the rows of ``_csv_rows``, one by one,
+    with the bytes ``csv.writer`` writes from the ``_fmt`` cells. JSON makes
+    one object per row.
     """
     stream = open(out_path, "w", newline="") if out_path else sys.stdout
     try:
         if fmt == "csv":
-            writer = csv.writer(stream)
-            writer.writerow(columns)
-            writer.writerows(zip(*[map(_fmt, col) for col in columns.values()]))
+            csv.writer(stream).writerow(columns)
+            stream.writelines(_csv_rows(columns))
         else:
             json.dump([dict(zip(columns, row)) for row in zip(*columns.values())], stream)
             stream.write("\n")
@@ -206,8 +239,10 @@ def _cmd_bound(args):
         "coarse_raw": coarse.clamped if args.clamp else coarse.value,
         "coarse_clamped": coarse.clamped,
     }
-    # tolist gives Python floats, which print as the scalar calls' floats did
-    _emit({name: np.asarray(c).tolist() for name, c in columns.items()}, args.format, args.out)
+    # tolist gives Python floats, which print as the scalar calls' floats did;
+    # a list that repeats one object is kept, so its CSV cell is formatted once
+    columns = {name: c if isinstance(c, list) else c.tolist() for name, c in columns.items()}
+    _emit(columns, args.format, args.out)
     return 0
 
 

@@ -153,7 +153,11 @@ def two_point_from_range(a, b):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDist:
-    """Finite discrete law: strictly increasing support, log-probabilities."""
+    """Finite discrete law: strictly increasing support, log-probabilities.
+
+    The arrays are checked once, when the law is built, and must not be
+    changed in place: the survival built from them is kept on the law.
+    """
 
     support: np.ndarray
     logp: np.ndarray
@@ -211,6 +215,7 @@ class DiscreteDist:
             return cls(support[keep], np.log(probs[keep]))
 
     def survival(self):
+        """``StepSurvival.from_dist(self)``: built once and kept on this law."""
         return StepSurvival.from_dist(self)
 
     def to_csv(self):
@@ -282,7 +287,9 @@ class StepSurvival:
 
     ``knots`` are the jump points; ``log_values[i] = log B(knots[i])`` with
     ``log_values[0] = 0`` and strictly decreasing entries. ``B(x) = 1`` for
-    ``x <= knots[0]`` and ``B(x) = 0`` for ``x > knots[-1]``.
+    ``x <= knots[0]`` and ``B(x) = 0`` for ``x > knots[-1]``. The arrays
+    are checked once, when the survival is built, and must not be changed in
+    place: the hull built from them is kept on the survival.
     """
 
     knots: np.ndarray
@@ -317,8 +324,12 @@ class StepSurvival:
 
         Knots with no visible jump at double precision are dropped (the
         rightmost point of each flat run is kept), so the invariants hold for
-        arbitrarily lopsided masses.
+        arbitrarily lopsided masses. The survival is kept in ``d.__dict__``
+        (``d`` is frozen), so a second call returns the same object; ``d``'s
+        arrays must not be changed in place.
         """
+        if "_survival" in d.__dict__:
+            return d.__dict__["_survival"]
         logv = _reverse_tail_logsum(d.logp)
         # normalize by the total mass and re-monotonize: accumulation noise of
         # order n*eps can push near-1 values a hair above 0
@@ -327,7 +338,8 @@ class StepSurvival:
         logv = np.minimum.accumulate(logv)
         keep = np.ones(logv.size, dtype=bool)
         keep[:-1] = logv[:-1] > logv[1:]
-        return cls(d.support[keep], logv[keep])
+        S = d.__dict__["_survival"] = cls(d.support[keep], logv[keep])
+        return S
 
     def eval(self, x):
         """B(x) = total mass at or above x; scalar or array."""

@@ -2,14 +2,11 @@
 
 The hull of a step survival B is the minimal function B0 >= B whose negative
 logarithm is convex. On the knots this is the lower convex hull of the points
-(x_i, -log B(x_i)), which a single monotone-chain sweep produces in O(m);
-between knots it is the log-linear interpolation, 1 left of the first knot and
-0 strictly right of the last. The sweep keeps every knot up to the first
-triple that fails its convexity test, so that test runs over all consecutive
-triples in one numpy pass and the Python loop starts at the first failure; on
-a log-concave survival, such as every materialized binomial sum, it does not
-run at all. Poisson and binomial survivals are log-concave, so their hulls
-can also skip the materialized knots and be evaluated lazily: one reader,
+(x_i, -log B(x_i)), which a single monotone-chain sweep produces in O(m) and
+which is kept on the survival it was built for; between knots it is the
+log-linear interpolation, 1 left of the first knot and 0 strictly right of
+the last. Poisson and binomial survivals are log-concave, so their hulls can
+also skip the materialized knots and be evaluated lazily: one reader,
 ``_lattice_log_point``, holds the edge rules of both lattices and reads a
 point from the tails at the integers next to it.
 """
@@ -43,7 +40,7 @@ _CONVEXITY_SLACK = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class LogLinearHull:
-    """Convex knot sequence ``(knots, neg_log)`` with ``neg_log = -log B0``."""
+    """Convex knots ``(knots, neg_log)``, ``neg_log = -log B0``; checked once, not to be changed in place."""
 
     knots: np.ndarray
     neg_log: np.ndarray
@@ -88,9 +85,15 @@ def log_concave_hull(S):
     popped while it sits above the chord of its neighbours by more than the
     convexity slack. Up to the first consecutive triple that fails this test
     the sweep pops nothing, so one vectorized pass of the same test over all
-    triples finds that prefix and the loop sweeps only the knots after it.
-    The knots are the ones the full loop keeps, bit for bit.
+    triples finds that prefix and the loop sweeps only the knots after it;
+    on a log-concave survival, such as every binomial sum, the loop does not
+    run. The knots are the ones the full loop keeps, bit for bit.
+
+    The hull is kept in ``S.__dict__`` (``S`` is frozen), so a second call
+    returns the same object; ``S``'s arrays must not be changed in place.
     """
+    if "_hull" in S.__dict__:
+        return S.__dict__["_hull"]
     xs = S.knots
     ys = -S.log_values
     fails = np.flatnonzero(_pops(xs[:-2], ys[:-2], xs[1:-1], ys[1:-1], xs[2:], ys[2:]))
@@ -103,16 +106,15 @@ def log_concave_hull(S):
             keep_y.pop()
         keep_x.append(x)
         keep_y.append(y)
-    return LogLinearHull(np.array(keep_x), np.array(keep_y))
+    h = S.__dict__["_hull"] = LogLinearHull(np.array(keep_x), np.array(keep_y))
+    return h
 
 
 def log_eval_hull(h, x):
-    """log B0(x): 0 left of the first knot, -inf strictly right of the last."""
+    """log B0(x) by ``np.interp``: 0 left of the first knot, -inf strictly right of the last."""
     x = _thresholds(x, "x")
-    y = np.interp(x, h.knots, h.neg_log)
-    out = np.where(x > h.knots[-1], np.inf, y)
-    out = np.where(x < h.knots[0], 0.0, out)
-    return _as_given(x, -out)
+    # not the default left: a swept hull's neg_log[0] is -0.0, and log B0 reads -0.0 there
+    return _as_given(x, -np.interp(x, h.knots, h.neg_log, left=0.0, right=np.inf))
 
 
 def eval_hull(h, x):
@@ -123,14 +125,11 @@ def eval_hull(h, x):
 def linear_envelope_eval(S, x):
     """Straight-line interpolation of B between adjacent jump points.
 
-    Equals B at the knots, 1 left of the first knot, 0 strictly right of the
-    last. Always >= the log-linear hull.
+    Equals B at the knots; ``np.interp``'s edges read 1 left of the first
+    knot and 0 strictly right of the last. Always >= the log-linear hull.
     """
     x = _thresholds(x, "x")
-    out = np.interp(x, S.knots, S.values)
-    out = np.where(x > S.knots[-1], 0.0, out)
-    out = np.where(x < S.knots[0], 1.0, out)
-    return _as_given(x, out)
+    return _as_given(x, np.interp(x, S.knots, S.values, left=1.0, right=0.0))
 
 
 def _on_hull(S, h):

@@ -384,6 +384,25 @@ class TestMgfBound:
             mgf_bound([(0.0, 1.0)], 1.0)
 
 
+class TestSpecTally:
+    def test_equals_np_unique_rows(self):
+        # repeated pairs and ties in sigma^2 with different b
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            s2_pool = rng.uniform(0.05, 2.0, int(rng.integers(1, 4))).tolist()
+            b_pool = rng.uniform(0.25, 2.0, int(rng.integers(1, 4))).tolist()
+            specs = [
+                (float(rng.choice(s2_pool)), float(rng.choice(b_pool)))
+                for _ in range(int(rng.integers(1, 30)))
+            ]
+            s2, b, counts = bounds._spec_tally(specs)
+            pairs, ref_counts = np.unique(np.array(specs), axis=0, return_counts=True)
+            assert s2.tobytes() == np.ascontiguousarray(pairs[:, 0]).tobytes()
+            assert b.tobytes() == np.ascontiguousarray(pairs[:, 1]).tobytes()
+            assert counts.dtype == np.float64
+            assert counts.tobytes() == ref_counts.astype(np.float64).tobytes()
+
+
 class TestFractionalMomentBound:
     def test_fair_coin(self):
         T = DiscreteDist.from_two_point(two_point_from_range(-1.0, 1.0))
@@ -397,6 +416,15 @@ class TestFractionalMomentBound:
         optimized, hull_form = fractional_moment_bound(T, 2.0, 1.5)
         assert optimized == pytest.approx(0.0, abs=1e-15)
         assert hull_form == 0.0
+
+    def test_reads_the_survival_and_hull_kept_on_the_law(self):
+        T = iid_sum_dist(two_point_from_variance(0.4, 1.0), 7)
+        S = T.survival()
+        h = log_concave_hull(S)
+        pair = fractional_moment_bound(T, 2.5, 1.3)
+        assert T.survival() is S and log_concave_hull(S) is h
+        fresh = iid_sum_dist(two_point_from_variance(0.4, 1.0), 7)
+        assert fractional_moment_bound(fresh, 2.5, 1.3) == pair
 
     def test_rejects_small_s(self):
         T = DiscreteDist.from_two_point(two_point_from_range(-1.0, 1.0))

@@ -460,3 +460,67 @@ class TestOutputFile:
         assert out == ""
         rows = parse_csv(target.read_text())
         assert float(rows[0]["raw"]) == pytest.approx(0.6795704571147613, rel=1e-12)
+
+
+# cells the CSV writer must print as csv.writer prints their _fmt text
+_CELLS = [
+    None, 0, 1, -7, 10**20, True, False, 0.0, -0.0, 1.0, -2.5, 0.1, math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 1.7976931348623157e308, 1e16, 123456789.125,
+    "", " ", "a", "1.2", "a,b", ",", 'say "hi"', '"', '""', "line\nbreak", "cr\rhere", "crlf\r\n",
+    "%", "%s", "%%", "%(x)s", "100%,", " lead", "tail ", "é", "\t",
+]
+
+
+def _random_column(rng, rows):
+    kind = int(rng.integers(5))
+    if kind == 0:
+        # one object repeated
+        return [_CELLS[int(rng.integers(len(_CELLS)))]] * rows
+    if kind == 1:
+        return [float(v) for v in rng.choice([0.0, -0.0, 1.0, math.nan, math.inf, 5e-324, 0.3], rows)]
+    if kind == 2:
+        # equal but not identical: 0.0 and -0.0, 1, 1.0 and True
+        return [[0.0, -0.0, 1, 1.0, True][int(i)] for i in rng.integers(5, size=rows)]
+    if kind == 3:
+        return rng.normal(0.0, 10.0 ** float(rng.integers(-300, 300)), rows).tolist()
+    return [_CELLS[int(i)] for i in rng.integers(len(_CELLS), size=rows)]
+
+
+def _csv_writer_bytes(columns):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(zip(*[map(cli._fmt, col) for col in columns.values()]))
+    return buf.getvalue()
+
+
+class TestCsvWriter:
+    """_emit's CSV rows come from one template per table, with csv.writer's bytes over _fmt."""
+
+    def test_random_tables_match_csv_writer(self, tmp_path, capsys):
+        rng = np.random.default_rng(2024)
+        names = ["x", "", "a,b", 'q"', "%s", "col\n2", "theorem"]
+        for trial in range(400):
+            ncols = int(rng.integers(1, 6))
+            rows = int(rng.choice([0, 1, 2, 3, 7]))
+            columns = {f"{names[int(rng.integers(len(names)))]}{i}" if ncols > 1 else
+                       names[int(rng.integers(len(names)))]: _random_column(rng, rows) for i in range(ncols)}
+            expected = _csv_writer_bytes(columns)
+            cli._emit(columns, "csv", None)
+            assert capsys.readouterr().out == expected, (trial, columns)
+            target = tmp_path / "t.csv"
+            cli._emit(columns, "csv", str(target))
+            assert target.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("cell", _CELLS)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_every_cell_alone_and_beside_another(self, cell, rows, capsys):
+        for columns in ({"c": [cell] * rows}, {"c": [cell] * rows, "d": [1.5] * rows},
+                        {"c": [cell] + [0.25] * (rows - 1)}):
+            cli._emit(columns, "csv", None)
+            assert capsys.readouterr().out == _csv_writer_bytes(columns)
+
+    def test_zero_rows_and_zero_columns(self, capsys):
+        for columns in ({"a": [], "b": []}, {"a": []}, {}):
+            cli._emit(columns, "csv", None)
+            assert capsys.readouterr().out == _csv_writer_bytes(columns)

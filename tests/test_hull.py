@@ -300,6 +300,93 @@ class TestLinearEnvelope:
             assert np.all(eval_hull(h, xs) <= linear_envelope_eval(S, xs) + 1e-12)
 
 
+def _where_log_hull(h, x):
+    """log B0 with both edges set by np.where after a default np.interp: the edge oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.where(x > h.knots[-1], np.inf, np.interp(x, h.knots, h.neg_log))
+    return -np.where(x < h.knots[0], 0.0, out)
+
+
+def _where_envelope(S, x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.where(x > S.knots[-1], 0.0, np.interp(x, S.knots, S.values))
+    return np.where(x < S.knots[0], 1.0, out)
+
+
+def _edge_probes(knots):
+    """-inf, below the first knot, every knot and one ulp either side, every midpoint, +inf."""
+    return np.concatenate([
+        [-np.inf, knots[0] - 1.0], knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        0.5 * (knots[:-1] + knots[1:]), [np.inf],
+    ])
+
+
+def _swept_and_hand_built():
+    rng = np.random.default_rng(53)
+    survivals = [
+        iid_sum_survival(two_point_from_variance(0.4, 0.7), 9),
+        DiscreteDist.point_mass(0.25).survival(),
+        random_survival(rng),
+    ]
+    hulls = [log_concave_hull(S) for S in survivals]
+    hulls.append(LogLinearHull(np.array([-1.0, 0.5, 3.0]), np.array([0.0, 0.75, 4.0])))
+    hulls.append(LogLinearHull(np.array([2.0]), np.array([0.0])))
+    return survivals, hulls
+
+
+class TestEdgesByInterp:
+    """np.interp's left and right give the edges the two np.where masks gave, sign of zero included."""
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_hull_reads_equal_the_where_oracle(self, case):
+        h = _swept_and_hand_built()[1][case]
+        xs = _edge_probes(h.knots)
+        array = log_eval_hull(h, xs)
+        assert array.tobytes() == _where_log_hull(h, xs).tobytes()
+        scalar = np.array([log_eval_hull(h, float(x)) for x in xs])
+        assert scalar.tobytes() == array.tobytes()
+        assert np.array([eval_hull(h, float(x)) for x in xs]).tobytes() == eval_hull(h, xs).tobytes()
+
+    def test_left_of_the_first_knot_reads_negative_zero(self):
+        # a swept hull starts at neg_log = -0.0: np.interp's default left would read +0.0
+        h = log_concave_hull(iid_sum_survival(two_point_from_range(-1.0, 1.0), 3))
+        assert math.copysign(1.0, h.neg_log[0]) == -1.0
+        for x in (-math.inf, float(h.knots[0]) - 1.0, float(np.nextafter(h.knots[0], -np.inf))):
+            assert math.copysign(1.0, log_eval_hull(h, x)) == -1.0
+        assert log_eval_hull(h, math.inf) == -math.inf
+        assert log_eval_hull(h, float(np.nextafter(h.knots[-1], np.inf))) == -math.inf
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_envelope_reads_equal_the_where_oracle(self, case):
+        S = _swept_and_hand_built()[0][case]
+        xs = _edge_probes(S.knots)
+        array = linear_envelope_eval(S, xs)
+        assert array.tobytes() == _where_envelope(S, xs).tobytes()
+        scalar = np.array([linear_envelope_eval(S, float(x)) for x in xs])
+        assert scalar.tobytes() == array.tobytes()
+
+
+class TestKeptOnTheArgument:
+    def test_survival_and_hull_are_built_once(self):
+        d = iid_sum_dist(two_point_from_variance(0.3, 1.1), 12)
+        S = StepSurvival.from_dist(d)
+        assert StepSurvival.from_dist(d) is S
+        assert d.survival() is S
+        assert iid_sum_survival(two_point_from_variance(0.3, 1.1), 12) is not S
+        h = log_concave_hull(S)
+        assert log_concave_hull(S) is h
+
+    def test_kept_hull_equals_a_fresh_sweep(self):
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            S = random_survival(rng, max_points=12)
+            kept = log_concave_hull(S)
+            log_concave_hull(S)
+            fresh = log_concave_hull(StepSurvival(S.knots.copy(), S.log_values.copy()))
+            assert kept.knots.tobytes() == fresh.knots.tobytes()
+            assert kept.neg_log.tobytes() == fresh.neg_log.tobytes()
+
+
 class TestHullProperties:
     def test_minimality_removing_a_vertex_breaks_domination(self):
         rng = np.random.default_rng(31)
